@@ -372,7 +372,7 @@ let pp_report ppf (r : report) =
         m.ms_example)
     r.r_misses
 
-(* JSON, hand-rolled like bench/main.ml: deterministic key order, no
+(* JSON, hand-rolled: deterministic key order, no
    floats beyond fixed precision, byte-identical across runs for a
    fixed (seed, count, max_units, detectors). *)
 

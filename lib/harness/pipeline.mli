@@ -29,8 +29,9 @@ type engine = [ `Linked | `Ref | `Spec ]
     sites taking their fast paths; [`Linked] runs the very same image
     with the fast paths disabled (specialized ops degrade to generic
     ones when the sink installs no [spec] handler); [`Ref] is the frozen
-    pre-link block interpreter ({!Drd_vm.Interp_ref}), kept for the
-    golden byte-identity suite and as the `bench --vm` baseline.  All
+    pre-link block interpreter ({!Drd_vm.Interp_ref}), kept as the
+    reference the golden byte-identity suite and perfbench check
+    every run against.  All
     three produce bit-identical schedules, event streams and reports;
     only detector-internal statistics may differ under [`Spec]. *)
 

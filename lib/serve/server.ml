@@ -244,6 +244,9 @@ let serve_socket conf ~path ?ready () =
       Error
         (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))
   | srv ->
+      (* A peer may hang up at any moment; writing to it must raise the
+         EPIPE that [send] handles, not kill the daemon with SIGPIPE. *)
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       (match ready with Some f -> f () | None -> ());
       let metrics = Metrics.create ~now:(Unix.gettimeofday ()) in
       let conns : (Unix.file_descr, sconn) Hashtbl.t = Hashtbl.create 16 in

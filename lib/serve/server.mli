@@ -36,5 +36,7 @@ val serve_socket :
 (** Bind [path] (unlinking any stale socket first), call [ready] once
     listening (test/bench synchronization), and serve until a
     [shutdown] control frame arrives.  Connection-level input errors
-    answer with an [error] frame and drop that connection only.
-    [Error] is reserved for failures to establish the socket. *)
+    answer with an [error] frame and drop that connection only, as
+    does a peer that hangs up: the process ignores SIGPIPE from the
+    moment the socket listens.  [Error] is reserved for failures to
+    establish the socket. *)

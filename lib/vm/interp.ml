@@ -14,8 +14,8 @@ open Link
    scheduler decisions.
 
    Exploration campaigns replay the same program thousands of times, so
-   this loop is where their wall-clock goes; see BENCH_vm.json for the
-   measured effect.
+   this loop is where their wall-clock goes; perfbench's ladder times
+   it as the `vm.*` rows.
 
    Semantics are bit-identical to the frozen block interpreter
    ([Interp_ref]): the same schedule, the same RNG draws in the same

@@ -15,8 +15,8 @@ module Ir = Drd_ir.Ir
      interpreter against (every report, recorded event log and hb
      fingerprint must match exactly, for every example program and
      scheduling policy);
-   - it is the "before" engine `bench --vm` measures so the speedup in
-     BENCH_vm.json is computed from the same binary and the same run.
+   - it is the reference perfbench checks every timed run against, so
+     a fast path that changes an output fails the benchmark.
 
    Do not "fix" or optimize this module: its value is that it does not
    change.  It shares [Interp]'s config/policy/result types and

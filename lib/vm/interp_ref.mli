@@ -6,9 +6,8 @@
 
     Kept for two consumers: the golden byte-identity suite (every
     report, event log and hb fingerprint of {!Interp} must match this
-    engine exactly) and `bench --vm`, which measures both engines in the
-    same process to compute the committed speedup.  Do not modify its
-    semantics.
+    engine exactly) and perfbench, which checks every timed run's
+    output against this engine's.  Do not modify its semantics.
 
     Shares {!Interp}'s config/policy/result types and raises
     {!Interp.Runtime_error}, so harness code drives either engine

@@ -1,6 +1,7 @@
 (* The serve daemon: protocol framing, session semantics (byte-identity
    with the one-shot replay, incremental race frames, streaming obs
-   merge), the stdin transport and a Unix-socket smoke test. *)
+   merge), the stdin transport and the Unix-socket transport: a smoke
+   test, clients that hang up early, and a bounded-memory soak. *)
 
 module H = Drd_harness
 module E = Drd_explore
@@ -282,14 +283,30 @@ let test_serve_channels_errors () =
   | Error m -> Alcotest.(check bool) "double hello refused" true (contains m "already open")
   | Ok () -> Alcotest.fail "double hello accepted"
 
-(* ---- Unix-socket transport smoke ---- *)
+(* ---- the Unix-socket transport ---- *)
 
-let test_socket_smoke () =
+let send oc lines =
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  flush oc
+
+let hello id =
+  S.Protocol.control_to_line
+    (S.Protocol.Hello
+       { c_session = id; c_kind = S.Protocol.Events; c_config = "" })
+
+let close_frame = S.Protocol.control_to_line S.Protocol.Close
+
+(* Run [f connect] against an in-process socket daemon, then shut it
+   down and check that it exits cleanly and unlinks its socket. *)
+let with_daemon conf f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "drd-serve-test-%d.sock" (Unix.getpid ()))
   in
-  let conf = { default_conf with S.Server.sv_eviction = None } in
   let ready = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
@@ -305,39 +322,154 @@ let test_socket_smoke () =
     Unix.connect fd (Unix.ADDR_UNIX path);
     (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
   in
-  let session_report id =
-    let ic, oc = connect () in
-    output_string oc
-      (S.Protocol.control_to_line
-         (S.Protocol.Hello
-            { c_session = id; c_kind = S.Protocol.Events; c_config = "" }));
-    output_char oc '\n';
-    output_string oc "A 1 1 W 0\nA 1 2 R 0\nA 1 1 W 0\n";
-    output_string oc (S.Protocol.control_to_line S.Protocol.Close);
-    output_char oc '\n';
-    flush oc;
-    let rec find_report () =
-      let l = input_line ic in
-      if contains l "\"t\":\"report\"" then l else find_report ()
-    in
-    let report = find_report () in
-    close_out oc;
-    report
-  in
-  (* Two client connections, each with its own session and race. *)
-  let r1 = session_report "a" and r2 = session_report "b" in
-  Alcotest.(check bool) "session a reported" true (contains r1 "\"session\":\"a\"");
-  Alcotest.(check bool) "session b reported" true (contains r2 "\"session\":\"b\"");
-  Alcotest.(check bool) "a found its race" true (contains r1 "\"races\":[{");
-  (* Shut the daemon down. *)
+  f connect;
   let _, oc = connect () in
-  output_string oc (S.Protocol.control_to_line S.Protocol.Shutdown);
-  output_char oc '\n';
-  flush oc;
+  send oc [ S.Protocol.control_to_line S.Protocol.Shutdown ];
   (match Domain.join server with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("server: " ^ m));
+  close_out oc;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
+
+(* Send one session and return its report frame. *)
+let session_report connect id payload =
+  let ic, oc = connect () in
+  send oc ((hello id :: payload) @ [ close_frame ]);
+  let rec find_report () =
+    let l = input_line ic in
+    if contains l "\"t\":\"report\"" then l else find_report ()
+  in
+  let report = find_report () in
+  close_out oc;
+  report
+
+let racy_payload = [ "A 1 1 W 0"; "A 1 2 R 0"; "A 1 1 W 0" ]
+
+let test_socket_smoke () =
+  with_daemon default_conf (fun connect ->
+      (* Two client connections, each with its own session and race. *)
+      let r1 = session_report connect "a" racy_payload
+      and r2 = session_report connect "b" racy_payload in
+      Alcotest.(check bool) "session a reported" true
+        (contains r1 "\"session\":\"a\"");
+      Alcotest.(check bool) "session b reported" true
+        (contains r2 "\"session\":\"b\"");
+      Alcotest.(check bool) "a found its race" true (contains r1 "\"races\":[{"))
+
+(* Clients that hang up without reading their frames: the daemon's
+   writes to them fail, and that must cost only their connections. *)
+let test_socket_early_close () =
+  with_daemon default_conf (fun connect ->
+      let _, oc = connect () in
+      send oc ((hello "closed" :: racy_payload) @ [ close_frame ]);
+      close_out oc;
+      (* No close frame: the daemon writes the report only after it
+         sees EOF, so that write always meets a closed peer. *)
+      let _, oc = connect () in
+      send oc (hello "eof" :: racy_payload);
+      close_out oc;
+      let r = session_report connect "after" racy_payload in
+      Alcotest.(check bool) "next client still served" true
+        (contains r "\"session\":\"after\""))
+
+let int_field path j =
+  match
+    List.fold_left (fun j k -> Option.bind j (W.member k)) (Some j) path
+  with
+  | Some (W.Int n) -> n
+  | _ -> Alcotest.failf "frame lacks %s" (String.concat "." path)
+
+(* A scaled-down soak: concurrent clients each stream one recorded tsp
+   session, whose report must be byte-identical to the one-shot replay
+   (tsp stays under the watermark, so nothing is evicted), then
+   race-free churn sessions over a location space far larger than the
+   watermark, which must evict while keeping live locations bounded. *)
+let test_socket_soak () =
+  let clients = 2 and evict_high = 4096 in
+  let churn_sessions = 2 and churn_window = 20_000 in
+  let compiled =
+    H.Pipeline.compile H.Config.full
+      ~source:(Option.get (H.Programs.find "tsp")).H.Programs.b_source
+  in
+  let log, _ = H.Pipeline.record_log compiled in
+  let expected_body =
+    let coll, stats = H.Pipeline.detect_post_mortem H.Config.full log in
+    S.Protocol.events_report_body ~races:(Report.races coll) ~stats
+      ~evictions:0
+  in
+  (* Rendered here: interned lockset ids only mean something in the
+     domain that recorded them, not in the client domains. *)
+  let tsp = log_lines log in
+  (* Every churn location is written by thread 1, then read by thread 2
+     under a common lock: the tries fill without reporting a race. *)
+  let churn =
+    List.init (2 * churn_window) (fun i ->
+        let loc = 1 + (i mod churn_window) in
+        if i < churn_window then Printf.sprintf "A %d 1 W 7 5" loc
+        else Printf.sprintf "A %d 2 R 7 5" loc)
+  in
+  let stats_frame = S.Protocol.control_to_line S.Protocol.Stats_req in
+  (* One client: returns its identity report frame, the daemon-wide live
+     locations sampled before each churn close, and its evictions. *)
+  let client connect cid =
+    let ic, oc = connect () in
+    let rec until_report live =
+      let line = input_line ic in
+      let j =
+        match W.json_of_string line with
+        | Ok j -> j
+        | Error m -> Alcotest.failf "bad frame %S: %s" line m
+      in
+      match W.member "t" j with
+      | Some (W.String "report") -> (line, j, live)
+      | Some (W.String "stats") ->
+          until_report (int_field [ "stats"; "live_locations" ] j)
+      | Some (W.String "error") -> Alcotest.failf "error frame: %s" line
+      | _ -> until_report live
+    in
+    let id = Printf.sprintf "c%d-tsp" cid in
+    send oc ((hello id :: tsp) @ [ close_frame ]);
+    let identity, _, _ = until_report 0 in
+    let churned =
+      List.init churn_sessions (fun k ->
+          send oc
+            ((hello (Printf.sprintf "c%d-churn%d" cid k) :: churn)
+            @ [ stats_frame; close_frame ]);
+          let _, j, live = until_report 0 in
+          (live, int_field [ "report"; "evictions" ] j))
+    in
+    close_out oc;
+    (id, identity, churned)
+  in
+  with_daemon
+    {
+      default_conf with
+      sv_eviction = Some (Detector.eviction ~high:evict_high ());
+    }
+    (fun connect ->
+      let results =
+        List.init clients (fun cid ->
+            Domain.spawn (fun () -> client connect cid))
+        |> List.map Domain.join
+      in
+      List.iter
+        (fun (id, identity, _) ->
+          Alcotest.(check string)
+            (id ^ " report is byte-identical to the one-shot replay")
+            (S.Protocol.report_frame ~session:id ~body:expected_body)
+            identity)
+        results;
+      let churned = List.concat_map (fun (_, _, c) -> c) results in
+      (* At most [clients] sessions are open at once, each bounded by
+         the watermark. *)
+      let max_live =
+        List.fold_left (fun m (live, _) -> max m live) 0 churned
+      in
+      if max_live > clients * evict_high then
+        Alcotest.failf "%d live locations exceed the bound %d" max_live
+          (clients * evict_high);
+      Alcotest.(check bool) "churn sessions evict" true
+        (List.exists (fun (_, ev) -> ev > 0) churned))
 
 let suite =
   [
@@ -361,4 +493,8 @@ let suite =
         test_serve_channels_errors ());
     Alcotest.test_case "unix socket smoke" `Quick (fun () ->
         test_socket_smoke ());
+    Alcotest.test_case "unix socket: early-closing clients" `Quick (fun () ->
+        test_socket_early_close ());
+    Alcotest.test_case "unix socket soak: bounded and byte-identical" `Quick
+      (fun () -> test_socket_soak ());
   ]
