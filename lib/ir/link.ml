@@ -26,7 +26,10 @@ open Ir
      unchanged);
    - field and static layout metadata is checked against the typed
      program once, at link time, so the interpreter can trust every
-     [fm_index]/[sm_slot] it executes.
+     [fm_index]/[sm_slot] it executes;
+   - the hottest runs of adjacent ops are fused into superinstructions
+     ([fuse]) that the interpreter dispatches once; each sits in the
+     slot of its first op and every slot keeps its own single op.
 
    Linking is pure bookkeeping: it never reorders, adds or removes an
    executed step, so schedules, RNG consumption and the event stream
@@ -68,14 +71,29 @@ type spec = {
          for [Sfixed], false for [Sro]) *)
 }
 
-(* Flat executable instruction.  Mirrors [Ir.op] with targets resolved
-   and terminators inlined; the source line lives in a parallel array
-   ([m_lines]) so the hot stream carries only what execution needs. *)
+(* Flat executable instruction.  Mirrors [Ir.op] with targets resolved,
+   terminators inlined and every operator and constant kind its own
+   constructor, so the interpreter decodes a slot with one match; the
+   source line lives in a parallel array ([m_lines]) so the hot stream
+   carries only what execution needs. *)
 type lop =
-  | Lconst of reg * const
+  | Lconst_int of reg * int
+  | Lconst_bool of reg * bool
+  | Lconst_null of reg
   | Lmove of reg * reg
-  | Lbinop of Ast.binop * reg * reg * reg
-  | Lunop of Ast.unop * reg * reg
+  | Ladd of reg * reg * reg
+  | Lsub of reg * reg * reg
+  | Lmul of reg * reg * reg
+  | Ldiv of reg * reg * reg
+  | Lmod of reg * reg * reg
+  | Llt of reg * reg * reg
+  | Lle of reg * reg * reg
+  | Lgt of reg * reg * reg
+  | Lge of reg * reg * reg
+  | Leq of reg * reg * reg
+  | Lne of reg * reg * reg
+  | Lneg of reg * reg
+  | Lnot of reg * reg
   | Lgetfield of reg * reg * field_meta
   | Lputfield of reg * field_meta * reg
   | Lgetstatic of reg * static_meta
@@ -111,6 +129,18 @@ type lop =
   | Lif of reg * int * int
   | Lret of reg option
   | Ltrap of string
+  (* Superinstructions ([fuse]).  Each sits in the slot of its first op
+     and stands for the run of single ops in the slots it covers, which
+     keep those single ops ([expand] gives them back). *)
+  | Laload_checked of reg * reg * reg
+      (* d, a, idx: nullcheck a; boundscheck a[idx]; d := a[idx] *)
+  | Lastore_checked of reg * reg * reg
+      (* a, idx, s: nullcheck a; boundscheck a[idx]; a[idx] := s *)
+  | Lconst_add of reg * int * reg * reg
+      (* k, n, d, x: k := n; d := x + k *)
+  | Lconst_sub of reg * int * reg * reg (* k, n, d, x: k := n; d := x - k *)
+  | Llt_if of reg * reg * reg * int * int
+      (* d, l, r, t, f: d := l < r; if d goto t else f *)
 
 type lmethod = {
   m_id : int;
@@ -197,11 +227,76 @@ let check_static_meta tprog ~where (sm : static_meta) =
     link_error "%s: static slot %d is %s.%s, not %s.%s" where sm.sm_slot
       sf.Tast.sf_class sf.Tast.sf_name sm.sm_class sm.sm_name
 
+(* ---- superinstructions ---- *)
+
+(* The single ops of the slots [op] covers, first slot first: the run a
+   superinstruction stands for, or [[op]] for a single op. *)
+let expand = function
+  | Laload_checked (d, a, i) ->
+      [ Lnullcheck a; Lboundscheck (a, i); Laload (d, a, i) ]
+  | Lastore_checked (a, i, s) ->
+      [ Lnullcheck a; Lboundscheck (a, i); Lastore (a, i, s) ]
+  | Lconst_add (k, n, d, x) -> [ Lconst_int (k, n); Ladd (d, x, k) ]
+  | Lconst_sub (k, n, d, x) -> [ Lconst_int (k, n); Lsub (d, x, k) ]
+  | Llt_if (d, l, r, t, f) -> [ Llt (d, l, r); Lif (d, t, f) ]
+  | op -> [ op ]
+
+(* Do the slots after [pc] hold the rest of [singles], the single ops of
+   a run whose first slot is [pc]? *)
+let covers code pc singles =
+  let size = Array.length code in
+  let rec from k = function
+    | [] -> true
+    | single :: rest ->
+        pc + k < size && code.(pc + k) = single && from (k + 1) rest
+  in
+  from 1 (List.tl singles)
+
+(* The superinstruction that may start at [pc], read off the operands of
+   the single ops there; [covers] decides whether it really applies. *)
+let candidate code pc =
+  let size = Array.length code in
+  match code.(pc) with
+  | Lnullcheck a when pc + 2 < size -> (
+      match code.(pc + 2) with
+      | Laload (d, _, i) -> Some (Laload_checked (d, a, i))
+      | Lastore (_, i, s) -> Some (Lastore_checked (a, i, s))
+      | _ -> None)
+  | Lconst_int (k, n) when pc + 1 < size -> (
+      match code.(pc + 1) with
+      | Ladd (d, x, _) -> Some (Lconst_add (k, n, d, x))
+      | Lsub (d, x, _) -> Some (Lconst_sub (k, n, d, x))
+      | _ -> None)
+  | Llt (d, l, r) when pc + 1 < size -> (
+      match code.(pc + 1) with
+      | Lif (_, t, f) -> Some (Llt_if (d, l, r, t, f))
+      | _ -> None)
+  | _ -> None
+
+(* Put each superinstruction in the slot of its first op, in place.  The
+   slots it covers keep their single ops, so code length, pcs, lines and
+   branch targets are untouched, and a jump into a covered slot or a run
+   of the first slot alone executes exactly the unfused stream.  Covered
+   ops (boundscheck, aload, astore, add, sub, if) never start a
+   superinstruction, so fused runs cannot overlap, and a slot is only
+   rewritten after every candidate reading it has been decided. *)
+let fuse (m : lmethod) : lmethod =
+  let code = m.m_code in
+  for pc = 0 to Array.length code - 1 do
+    match candidate code pc with
+    | Some sup when covers code pc (expand sup) -> code.(pc) <- sup
+    | _ -> ()
+  done;
+  m
+
 (* Link-time validation that discharges the interpreter's bounds checks:
    once a method passes, every register operand is inside its register
-   file, every branch target is a valid pc, and every non-terminator has
-   a successor slot, so the hot loop fetches code and registers
-   unchecked ([Array.unsafe_get]). *)
+   file, every branch target is a valid pc, every non-terminator has a
+   successor slot, and every superinstruction's covered slots hold the
+   single ops it stands for, so the hot loop fetches code and registers
+   unchecked ([Array.unsafe_get]).  A superinstruction is checked
+   through [expand]: each single op it stands for, at the slot it
+   covers, so every register it can touch is covered. *)
 let validate (m : lmethod) : lmethod =
   let nregs = m.m_nregs and size = Array.length m.m_code in
   let reg r =
@@ -213,66 +308,88 @@ let validate (m : lmethod) : lmethod =
     if pc < 0 || pc >= size then
       link_error "%s: branch target %d outside %d slots" m.m_key pc size
   in
+  let rec check pc op =
+    (match op with
+    | Lconst_int (d, _)
+    | Lconst_bool (d, _)
+    | Lconst_null d
+    | Lnewobj (d, _)
+    | Lclassobj (d, _)
+    | Lgetstatic (d, _) ->
+        reg d
+    | Lmove (d, s) | Lneg (d, s) | Lnot (d, s) ->
+        reg d;
+        reg s
+    | Ladd (d, l, r)
+    | Lsub (d, l, r)
+    | Lmul (d, l, r)
+    | Ldiv (d, l, r)
+    | Lmod (d, l, r)
+    | Llt (d, l, r)
+    | Lle (d, l, r)
+    | Lgt (d, l, r)
+    | Lge (d, l, r)
+    | Leq (d, l, r)
+    | Lne (d, l, r) ->
+        reg d;
+        reg l;
+        reg r
+    | Lgetfield (d, o, _) ->
+        reg d;
+        reg o
+    | Lputfield (o, _, s) ->
+        reg o;
+        reg s
+    | Lputstatic (_, s) -> reg s
+    | Laload (a, b, c) | Lastore (a, b, c) ->
+        reg a;
+        reg b;
+        reg c
+    | Lnewarr (d, _, dims) ->
+        reg d;
+        List.iter reg dims
+    | Larrlen (d, a) | Lboundscheck (a, d) ->
+        reg d;
+        reg a
+    | Lnullcheck r
+    | Lmonitorenter r
+    | Lmonitorexit r
+    | Lthreadstart r
+    | Lthreadjoin r
+    | Lwait r
+    | Lnotify (r, _)
+    | Ltrace_field (r, _, _, _)
+    | Ltrace_array (r, _, _)
+    | Ltrace_field_spec (r, _, _, _, _)
+    | Ltrace_array_spec (r, _, _, _) ->
+        reg r
+    | Lcall (dst, _, args, _) ->
+        opt dst;
+        Array.iter reg args
+    | Lprint (_, r) | Lret r -> opt r
+    | Lyield | Ltrace_static _ | Ltrace_static_spec _ | Ltrap _ -> ()
+    | Lgoto l -> target l
+    | Lif (c, t, f) ->
+        reg c;
+        target t;
+        target f
+    | Laload_checked _ | Lastore_checked _ | Lconst_add _ | Lconst_sub _
+    | Llt_if _ ->
+        (* Covered slots hold single ops, so this never recurses twice. *)
+        let singles = expand op in
+        if not (covers m.m_code pc singles) then
+          link_error "%s: superinstruction at pc %d does not match the \
+                      slots it covers" m.m_key pc;
+        List.iteri (fun k op -> check (pc + k) op) singles);
+    match op with
+    | Lgoto _ | Lif _ | Lret _ | Ltrap _ -> ()
+    | _ ->
+        if pc + 1 >= size then
+          link_error "%s: instruction at pc %d has no successor slot" m.m_key
+            pc
+  in
   target m.m_entry;
-  Array.iteri
-    (fun pc op ->
-      (match op with
-      | Lconst (d, _) | Lnewobj (d, _) | Lclassobj (d, _) | Lgetstatic (d, _)
-        ->
-          reg d
-      | Lmove (d, s) | Lunop (_, d, s) ->
-          reg d;
-          reg s
-      | Lbinop (_, d, l, r) ->
-          reg d;
-          reg l;
-          reg r
-      | Lgetfield (d, o, _) ->
-          reg d;
-          reg o
-      | Lputfield (o, _, s) ->
-          reg o;
-          reg s
-      | Lputstatic (_, s) -> reg s
-      | Laload (a, b, c) | Lastore (a, b, c) ->
-          reg a;
-          reg b;
-          reg c
-      | Lnewarr (d, _, dims) ->
-          reg d;
-          List.iter reg dims
-      | Larrlen (d, a) | Lboundscheck (a, d) ->
-          reg d;
-          reg a
-      | Lnullcheck r
-      | Lmonitorenter r
-      | Lmonitorexit r
-      | Lthreadstart r
-      | Lthreadjoin r
-      | Lwait r
-      | Lnotify (r, _)
-      | Ltrace_field (r, _, _, _)
-      | Ltrace_array (r, _, _)
-      | Ltrace_field_spec (r, _, _, _, _)
-      | Ltrace_array_spec (r, _, _, _) ->
-          reg r
-      | Lcall (dst, _, args, _) ->
-          opt dst;
-          Array.iter reg args
-      | Lprint (_, r) | Lret r -> opt r
-      | Lyield | Ltrace_static _ | Ltrace_static_spec _ | Ltrap _ -> ()
-      | Lgoto l -> target l
-      | Lif (c, t, f) ->
-          reg c;
-          target t;
-          target f);
-      match op with
-      | Lgoto _ | Lif _ | Lret _ | Ltrap _ -> ()
-      | _ ->
-          if pc + 1 >= size then
-            link_error "%s: instruction at pc %d has no successor slot" m.m_key
-              pc)
-    m.m_code;
+  Array.iteri check m.m_code;
   m
 
 (* ---- linking one method ---- *)
@@ -304,10 +421,27 @@ let link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site ~id (m : mir)
   let link_op (i : instr) : lop =
     let where = Printf.sprintf "%s:%d" key i.i_line in
     match i.i_op with
-    | Const (d, c) -> Lconst (d, c)
+    | Const (d, Cint n) -> Lconst_int (d, n)
+    | Const (d, Cbool b) -> Lconst_bool (d, b)
+    | Const (d, Cnull) -> Lconst_null d
     | Move (d, s) -> Lmove (d, s)
-    | Binop (op, d, l, r) -> Lbinop (op, d, l, r)
-    | Unop (op, d, s) -> Lunop (op, d, s)
+    | Binop (op, d, l, r) -> (
+        match op with
+        | Ast.Add -> Ladd (d, l, r)
+        | Ast.Sub -> Lsub (d, l, r)
+        | Ast.Mul -> Lmul (d, l, r)
+        | Ast.Div -> Ldiv (d, l, r)
+        | Ast.Mod -> Lmod (d, l, r)
+        | Ast.Lt -> Llt (d, l, r)
+        | Ast.Le -> Lle (d, l, r)
+        | Ast.Gt -> Lgt (d, l, r)
+        | Ast.Ge -> Lge (d, l, r)
+        | Ast.Eq -> Leq (d, l, r)
+        | Ast.Ne -> Lne (d, l, r)
+        | Ast.And | Ast.Or ->
+            link_error "%s: short-circuit operator left unlowered" where)
+    | Unop (Ast.Neg, d, s) -> Lneg (d, s)
+    | Unop (Ast.Not, d, s) -> Lnot (d, s)
     | GetField (d, o, fm) ->
         check_field_meta tprog ~where fm;
         Lgetfield (d, o, fm)
@@ -386,15 +520,16 @@ let link_mir ~tprog ~method_ids ~class_ids ~slot_ids ~cell_of_site ~id (m : mir)
     lines.(!pc) <- term_line
   done;
   validate
-    {
-      m_id = id;
-      m_key = key;
-      m_nregs = max m.mir_nregs 1;
-      m_nparams = m.mir_nparams;
-      m_entry = block_pc.(m.mir_entry);
-      m_code = code;
-      m_lines = lines;
-    }
+    (fuse
+       {
+         m_id = id;
+         m_key = key;
+         m_nregs = max m.mir_nregs 1;
+         m_nparams = m.mir_nparams;
+         m_entry = block_pc.(m.mir_entry);
+         m_code = code;
+         m_lines = lines;
+       })
 
 (* ---- linking a program ---- *)
 

@@ -15,9 +15,10 @@ exception Link_error of string
     typed program, or a method body that fails the link-time validation
     pass (a register operand outside the method's register file, a
     branch target outside its code array, a non-terminator in the last
-    slot).  Validation runs on every linked method and is what lets the
-    interpreter skip bounds checks on register-file and code-array
-    accesses. *)
+    slot, a superinstruction whose covered slots do not hold the single
+    ops it stands for).  Validation runs on every linked method and is
+    what lets the interpreter skip bounds checks on register-file and
+    code-array accesses. *)
 
 (** Pre-resolved call target. *)
 type lcall =
@@ -61,13 +62,27 @@ type spec = {
 }
 
 (** Flat executable instruction: {!Ir.op} with call targets resolved,
-    trace targets reduced to the indices the event needs, and block
-    terminators inlined into the stream with branch targets as pcs. *)
+    trace targets reduced to the indices the event needs, block
+    terminators inlined into the stream with branch targets as pcs, and
+    one constructor per operator and constant kind. *)
 type lop =
-  | Lconst of Ir.reg * Ir.const
+  | Lconst_int of Ir.reg * int
+  | Lconst_bool of Ir.reg * bool
+  | Lconst_null of Ir.reg
   | Lmove of Ir.reg * Ir.reg
-  | Lbinop of Ast.binop * Ir.reg * Ir.reg * Ir.reg
-  | Lunop of Ast.unop * Ir.reg * Ir.reg
+  | Ladd of Ir.reg * Ir.reg * Ir.reg  (** dst, left, right *)
+  | Lsub of Ir.reg * Ir.reg * Ir.reg
+  | Lmul of Ir.reg * Ir.reg * Ir.reg
+  | Ldiv of Ir.reg * Ir.reg * Ir.reg
+  | Lmod of Ir.reg * Ir.reg * Ir.reg
+  | Llt of Ir.reg * Ir.reg * Ir.reg
+  | Lle of Ir.reg * Ir.reg * Ir.reg
+  | Lgt of Ir.reg * Ir.reg * Ir.reg
+  | Lge of Ir.reg * Ir.reg * Ir.reg
+  | Leq of Ir.reg * Ir.reg * Ir.reg
+  | Lne of Ir.reg * Ir.reg * Ir.reg
+  | Lneg of Ir.reg * Ir.reg
+  | Lnot of Ir.reg * Ir.reg
   | Lgetfield of Ir.reg * Ir.reg * Ir.field_meta
   | Lputfield of Ir.reg * Ir.field_meta * Ir.reg
   | Lgetstatic of Ir.reg * Ir.static_meta
@@ -104,6 +119,21 @@ type lop =
   | Lif of Ir.reg * int * int
   | Lret of Ir.reg option
   | Ltrap of string
+  | Laload_checked of Ir.reg * Ir.reg * Ir.reg
+      (** Superinstruction [d, a, idx] for [Lnullcheck a],
+          [Lboundscheck (a, idx)], [Laload (d, a, idx)]. *)
+  | Lastore_checked of Ir.reg * Ir.reg * Ir.reg
+      (** Superinstruction [a, idx, s] for [Lnullcheck a],
+          [Lboundscheck (a, idx)], [Lastore (a, idx, s)]. *)
+  | Lconst_add of Ir.reg * int * Ir.reg * Ir.reg
+      (** Superinstruction [k, n, d, x] for [Lconst_int (k, n)],
+          [Ladd (d, x, k)]. *)
+  | Lconst_sub of Ir.reg * int * Ir.reg * Ir.reg
+      (** Superinstruction [k, n, d, x] for [Lconst_int (k, n)],
+          [Lsub (d, x, k)]. *)
+  | Llt_if of Ir.reg * Ir.reg * Ir.reg * int * int
+      (** Superinstruction [d, l, r, t, f] for [Llt (d, l, r)],
+          [Lif (d, t, f)]. *)
 
 type lmethod = {
   m_id : int;
@@ -139,6 +169,25 @@ val link : ?spec:spec -> Ir.program -> image
     remains valid input for the generic engine, which treats the twins
     exactly like the generic ops).  Raises {!Link_error} on an
     unlinkable program. *)
+
+val expand : lop -> lop list
+(** The single ops of the slots [op] covers, first slot first: the run
+    of ops a superinstruction stands for, or [[op]] for a single op.
+    A superinstruction sits in the slot of its first op; the slots after
+    it keep the other single ops. *)
+
+val fuse : lmethod -> lmethod
+(** Put a superinstruction in the first slot of every run of single ops
+    that one stands for, in place, and return the method.  Code length,
+    pcs, [m_lines], [m_entry], branch targets and every covered slot are
+    unchanged; replacing each slot's op by the head of its {!expand}
+    undoes it.  {!link} fuses every method it links. *)
+
+val validate : lmethod -> lmethod
+(** The link-time check every linked method passes (see {!Link_error});
+    for a superinstruction it checks each op of its {!expand} against
+    the slot it covers, so every register it can touch is in range.
+    Returns its argument. *)
 
 val spec_cell_of_site : image -> int -> int
 (** The spec cell of a site id, or -1 when the site is generic (or the

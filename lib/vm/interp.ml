@@ -1,7 +1,6 @@
 open Drd_core
 module Ir = Drd_ir.Ir
 module Link = Drd_ir.Link
-module Ast = Drd_lang.Ast
 module Tast = Drd_lang.Tast
 open Link
 
@@ -15,7 +14,13 @@ open Link
 
    Exploration campaigns replay the same program thousands of times, so
    this loop is where their wall-clock goes; perfbench's ladder times
-   it as the `vm.*` rows.
+   it as the `vm.*` rows.  Each step is one dispatch: the slice loop
+   matches the slot's op once, and the link phase has already split
+   every operator and constant kind into its own constructor and fused
+   the hottest runs of ops into superinstructions (checked array
+   load/store, const+add/sub, lt+if).  Only the rare ops — allocation,
+   monitors, thread start/join, wait/notify, print — go through a
+   helper ([exec_rare]).
 
    Semantics are bit-identical to the frozen block interpreter
    ([Interp_ref]): the same schedule, the same RNG draws in the same
@@ -28,6 +33,12 @@ open Link
      with them PCT change points and the step limit — are unchanged;
    - the slice budget is spent only by instructions that advance, never
      by terminators or by a blocked retry, exactly as before;
+   - a superinstruction counts a step per slot it covers and spends the
+     budget those slots would, and runs whole only when the slice budget
+     and the step limit have room for all of them; otherwise it runs its
+     first slot alone and the covered slots, which keep their own single
+     ops, follow one by one — so a slice ends, and an error is raised,
+     on exactly the slot it would be without fusion;
    - the ready list is scanned newest-thread-first (the reverse creation
      order the old [thread list] had), so [Random_walk]'s [List.nth]
      draw and PCT's lazy priority assignment consume the RNG
@@ -163,10 +174,12 @@ let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 (* Unchecked indexing for the two arrays the linker has already
    validated ([Link.validate]: every register operand is inside its
    method's register file, every pc the interpreter can reach is inside
-   [m_code]).  Used ONLY for register files and code fetch — heap-side
-   arrays keep their bounds checks. *)
-let ( .%() ) = Array.unsafe_get
-let ( .%()<- ) = Array.unsafe_set
+   [m_code]), and for a call's argument list, read in a loop bounded by
+   its own length.  Heap-side arrays keep their bounds checks.  Declared
+   as the primitives themselves, not as aliases of [Array.unsafe_get],
+   so each use compiles to an inline load or store rather than a call. *)
+external ( .%() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .%()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
 (* Grow the heap-indexed side tables to cover heap id [id]. *)
 let ensure st id =
@@ -262,9 +275,6 @@ let arr_elems st o =
 let emit_access st thr ~loc ~kind ~site =
   st.sink.Sink.access ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
 
-let raw_access st thr ~loc ~kind =
-  if st.cfg.all_accesses then emit_access st thr ~loc ~kind ~site:(-1)
-
 (* The call hot path: reuse a returned frame of the exact register
    count when one is free, else allocate.  The refill makes reuse
    unobservable — registers start [Vnull] either way. *)
@@ -285,117 +295,13 @@ let recycle_frame st fr =
   let n = Array.length fr.f_regs in
   st.frame_pool.(n) <- fr :: st.frame_pool.(n)
 
-let push_frame st thr mid dst ~copy_args =
-  let m = st.image.i_methods.(mid) in
-  let fr = alloc_frame st m dst in
-  copy_args fr.f_regs;
-  thr.t_frames <- fr :: thr.t_frames
-
-(* Execute one non-terminator instruction of the top frame.  [regs] is
-   [frame.f_regs] and [pc] the instruction's slot (the slice loop keeps
-   both in locals and passes them in), so error paths read the line from
-   [m_lines.(pc)].  Returns [false] when the thread must retry the same
-   instruction later (blocked). *)
-let exec_instr st thr frame regs (op : lop) pc : bool =
+(* Execute one of the rare ops — allocation, monitors, thread start and
+   join, wait/notify, print — for the slice loop, which dispatches every
+   other op itself.  [regs] is [frame.f_regs] and [pc] the op's slot, so
+   error paths read the line from [m_lines.(pc)].  Returns [false] when
+   the thread must retry the same op later (blocked). *)
+let exec_rare st thr frame regs (op : lop) pc : bool =
   match op with
-  | Lconst (d, Ir.Cint n) ->
-      regs.%(d) <- Value.of_int n;
-      true
-  | Lconst (d, Ir.Cbool b) ->
-      regs.%(d) <- Value.of_bool b;
-      true
-  | Lconst (d, Ir.Cnull) ->
-      regs.%(d) <- Value.Vnull;
-      true
-  | Lmove (d, s) ->
-      regs.%(d) <- regs.%(s);
-      true
-  | Lbinop (op, d, l, r) ->
-      let v =
-        match op with
-        | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod ->
-            let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
-            let n =
-              match op with
-              | Ast.Add -> a + b
-              | Ast.Sub -> a - b
-              | Ast.Mul -> a * b
-              | Ast.Div ->
-                  if b = 0 then error "division by zero at line %d" frame.f_meth.m_lines.(pc)
-                  else a / b
-              | Ast.Mod ->
-                  if b = 0 then error "division by zero at line %d" frame.f_meth.m_lines.(pc)
-                  else a mod b
-              | _ -> assert false
-            in
-            Value.of_int n
-        | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-            let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
-            Value.of_bool
-              (match op with
-              | Ast.Lt -> a < b
-              | Ast.Le -> a <= b
-              | Ast.Gt -> a > b
-              | _ -> a >= b)
-        | Ast.Eq -> Value.of_bool (value_eq regs.%(l) regs.%(r))
-        | Ast.Ne -> Value.of_bool (not (value_eq regs.%(l) regs.%(r)))
-        | Ast.And | Ast.Or ->
-            assert false (* expanded into control flow by lowering *)
-      in
-      regs.%(d) <- v;
-      true
-  | Lunop (Ast.Neg, d, s) ->
-      regs.%(d) <- Value.of_int (-Value.to_int regs.%(s));
-      true
-  | Lunop (Ast.Not, d, s) ->
-      regs.%(d) <- Value.of_bool (not (Value.to_bool regs.%(s)));
-      true
-  | Lgetfield (d, o, fm) ->
-      (* The error label is built only on the failure path: [as_ref]'s
-         [~what] argument would otherwise allocate a string per access. *)
-      let obj =
-        match regs.%(o) with
-        | Value.Vref obj -> obj
-        | v -> as_ref ~what:(fm.Ir.fm_name ^ " load") v
-      in
-      regs.%(d) <- (obj_fields st obj).(fm.Ir.fm_index);
-      raw_access st thr
-        ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index:fm.Ir.fm_index)
-        ~kind:Event.Read;
-      true
-  | Lputfield (o, fm, s) ->
-      let obj =
-        match regs.%(o) with
-        | Value.Vref obj -> obj
-        | v -> as_ref ~what:(fm.Ir.fm_name ^ " store") v
-      in
-      (obj_fields st obj).(fm.Ir.fm_index) <- regs.%(s);
-      raw_access st thr
-        ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index:fm.Ir.fm_index)
-        ~kind:Event.Write;
-      true
-  | Lgetstatic (d, sm) ->
-      regs.%(d) <- st.globals.(sm.Ir.sm_slot);
-      raw_access st thr
-        ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot:sm.Ir.sm_slot)
-        ~kind:Event.Read;
-      true
-  | Lputstatic (sm, s) ->
-      st.globals.(sm.Ir.sm_slot) <- regs.%(s);
-      raw_access st thr
-        ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot:sm.Ir.sm_slot)
-        ~kind:Event.Write;
-      true
-  | Laload (d, a, idx) ->
-      let arr = as_ref ~what:"array load" regs.%(a) in
-      regs.%(d) <- (arr_elems st arr).(Value.to_int regs.%(idx));
-      raw_access st thr ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr) ~kind:Event.Read;
-      true
-  | Lastore (a, idx, s) ->
-      let arr = as_ref ~what:"array store" regs.%(a) in
-      (arr_elems st arr).(Value.to_int regs.%(idx)) <- regs.%(s);
-      raw_access st thr ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr) ~kind:Event.Write;
-      true
   | Lnewobj (d, cid) ->
       let id =
         Heap.alloc st.heap
@@ -418,52 +324,8 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
       ensure st id;
       regs.%(d) <- Value.Vref id;
       true
-  | Larrlen (d, a) ->
-      let arr = as_ref ~what:"length" regs.%(a) in
-      regs.%(d) <- Value.of_int (Array.length (arr_elems st arr));
-      true
   | Lclassobj (d, cid) ->
       regs.%(d) <- Value.Vref (class_obj st cid);
-      true
-  | Lnullcheck r ->
-      (match regs.%(r) with
-      | Value.Vnull ->
-          error "NullPointerException at %s line %d" frame.f_meth.m_key
-            frame.f_meth.m_lines.(pc)
-      | _ -> ());
-      true
-  | Lboundscheck (a, idx) ->
-      let arr = as_ref ~what:"array access" regs.%(a) in
-      let n = Array.length (arr_elems st arr) in
-      let k = Value.to_int regs.%(idx) in
-      if k < 0 || k >= n then
-        error "ArrayIndexOutOfBoundsException: %d (length %d) at %s line %d" k
-          n frame.f_meth.m_key frame.f_meth.m_lines.(pc);
-      true
-  | Lcall (dst, target, args, site) ->
-      let mid =
-        match target with
-        | Lc_method mid -> mid
-        | Lc_virtual (slot, name) ->
-            let recv =
-              match regs.%(args.(0)) with
-              | Value.Vref recv -> recv
-              | v -> as_ref ~what:("call " ^ name) v
-            in
-            (match st.sink.Sink.call with
-            | Some f -> f ~tid:thr.t_id ~obj:recv ~locks:thr.t_lockset ~site
-            | None -> ());
-            ensure st recv;
-            let cid = st.obj_cls.(recv) in
-            let mid = if cid >= 0 then st.image.i_vtables.(cid).(slot) else -1 in
-            if mid < 0 then
-              error "no method %s on class %s" name (Heap.class_of st.heap recv)
-            else mid
-      in
-      push_frame st thr mid dst ~copy_args:(fun nregs ->
-          for k = 0 to Array.length args - 1 do
-            nregs.(k) <- regs.%(args.(k))
-          done);
       true
   | Lmonitorenter r -> (
       let obj = as_ref ~what:"monitorenter" regs.%(r) in
@@ -595,47 +457,11 @@ let exec_instr st thr frame regs (op : lop) pc : bool =
           t.t_status <- Blocked obj)
         woken;
       true
-  | Lyield -> true
   | Lprint (tag, r) ->
       let v = Option.map (fun r -> regs.%(r)) r in
       st.prints <- (tag, v) :: st.prints;
       true
-  | Ltrace_field (o, index, kind, site) ->
-      let obj = as_ref ~what:"trace" regs.%(o) in
-      emit_access st thr ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index) ~kind ~site;
-      true
-  | Ltrace_static (slot, kind, site) ->
-      emit_access st thr ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot) ~kind ~site;
-      true
-  | Ltrace_array (a, kind, site) ->
-      emit_access st thr
-        ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:(as_ref ~what:"trace" regs.%(a)))
-        ~kind ~site;
-      true
-  | Ltrace_field_spec (o, index, kind, site, cell) ->
-      let obj = as_ref ~what:"trace" regs.%(o) in
-      let loc = Memloc.field ~gran:st.cfg.granularity ~obj ~index in
-      (match st.spec with
-      | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
-      | None -> emit_access st thr ~loc ~kind ~site);
-      true
-  | Ltrace_static_spec (slot, kind, site, cell) ->
-      let loc = Memloc.static ~gran:st.cfg.granularity ~slot in
-      (match st.spec with
-      | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
-      | None -> emit_access st thr ~loc ~kind ~site);
-      true
-  | Ltrace_array_spec (a, kind, site, cell) ->
-      let loc =
-        Memloc.array ~gran:st.cfg.granularity
-          ~obj:(as_ref ~what:"trace" regs.%(a))
-      in
-      (match st.spec with
-      | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
-      | None -> emit_access st thr ~loc ~kind ~site);
-      true
-  | Lgoto _ | Lif _ | Lret _ | Ltrap _ ->
-      assert false (* terminators are handled by the slice loop *)
+  | _ -> assert false (* dispatched by the slice loop *)
 
 let exec_ret st thr frame v =
   let value = match v with Some r -> Some frame.f_regs.(r) | None -> None in
@@ -664,17 +490,64 @@ let ready st t =
   | Joining tid -> (
       match (find_thread st tid).t_status with Finished -> true | _ -> false)
 
+(* Enter a call: push the callee's frame with the arguments copied in.
+   A virtual call reports its receiver to [Sink.call] and dispatches on
+   the receiver's class. *)
+let push_call st thr regs dst target (args : Ir.reg array) site =
+  let mid =
+    match target with
+    | Lc_method mid -> mid
+    | Lc_virtual (slot, name) ->
+        let recv =
+          match regs.%(args.(0)) with
+          | Value.Vref recv -> recv
+          | v -> as_ref ~what:("call " ^ name) v
+        in
+        (match st.sink.Sink.call with
+        | Some f -> f ~tid:thr.t_id ~obj:recv ~locks:thr.t_lockset ~site
+        | None -> ());
+        ensure st recv;
+        let cid = st.obj_cls.(recv) in
+        let mid = if cid >= 0 then st.image.i_vtables.(cid).(slot) else -1 in
+        if mid < 0 then
+          error "no method %s on class %s" name (Heap.class_of st.heap recv)
+        else mid
+  in
+  let fr = alloc_frame st st.image.i_methods.(mid) dst in
+  let callee = fr.f_regs in
+  for k = 0 to Array.length args - 1 do
+    callee.(k) <- regs.%(args.%(k))
+  done;
+  thr.t_frames <- fr :: thr.t_frames
+
+let spec_access st thr ~cell ~loc ~kind ~site =
+  match st.spec with
+  | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
+  | None -> emit_access st thr ~loc ~kind ~site
+
 (* Run one scheduling slice of up to [n] instructions on thread [t].
    Returns when the slice ends, the thread blocks, yields or finishes;
    the result says whether the slice ended at a [Yield] (the PCT
    scheduler deprioritizes the yielder so spin-wait loops cannot starve
    the thread they are waiting on).
 
-   Terminators are slots in the flat stream, but stay what they were in
-   the block interpreter: one step that costs no slice budget. *)
+   Each step is one match on the slot's op: every arm executes its op,
+   moves [pc] and evaluates to the slice budget it spent.  Terminators
+   are slots in the flat stream, but stay what they were in the block
+   interpreter: one step that costs no slice budget.
+
+   A superinstruction covering [k] slots takes its fast path only when
+   the slice budget and [max_steps] have room for all [k] of them and
+   its operands are the well-typed, in-range values the fast path
+   handles; it then advances [steps] by [k] and spends exactly the
+   budget its single ops would have.  Otherwise it runs its first slot
+   alone and the covered slots follow as single ops, so slice ends,
+   step counts, PCT change points, the step-limit error and every
+   runtime error land on the same slot as in the unfused stream. *)
 let run_slice st t n =
   t.t_status <- Runnable;
   let max_steps = st.cfg.max_steps in
+  let all_accesses = st.cfg.all_accesses in
   let continue_ = ref true in
   let yielded = ref false in
   let budget = ref n in
@@ -691,7 +564,8 @@ let run_slice st t n =
            and [st.steps] are flushed at every exit, so anything outside
            this loop (the scheduler's change points, a resumed slice)
            sees exactly the state the per-step version maintained. *)
-        let code = frame.f_meth.m_code in
+        let meth = frame.f_meth in
+        let code = meth.m_code in
         let regs = frame.f_regs in
         let pc = ref frame.f_pc in
         let steps = ref st.steps in
@@ -703,42 +577,352 @@ let run_slice st t n =
             st.steps <- !steps;
             error "step limit exceeded"
           end;
-          match code.%(!pc) with
-          | Lgoto l -> pc := l
-          | Lif (c, tl, fl) ->
-              pc := if Value.to_bool regs.%(c) then tl else fl
-          | Lret v ->
-              inner := false;
-              frame.f_pc <- !pc;
-              st.steps <- !steps;
-              exec_ret st t frame v
-          | Ltrap msg ->
-              frame.f_pc <- !pc;
-              st.steps <- !steps;
-              error "%s in %s" msg frame.f_meth.m_key
-          | op ->
-              let advanced = exec_instr st t frame regs op !pc in
-              if advanced then begin
-                (* The instruction may have pushed a new frame; [frame]
-                   still designates the frame the instruction came from. *)
+          let spent =
+            match code.%(!pc) with
+            | Lgoto l ->
+                pc := l;
+                0
+            | Lif (c, tl, fl) ->
+                pc := if Value.to_bool regs.%(c) then tl else fl;
+                0
+            | Lret v ->
+                inner := false;
+                frame.f_pc <- !pc;
+                st.steps <- !steps;
+                exec_ret st t frame v;
+                0
+            | Ltrap msg ->
+                frame.f_pc <- !pc;
+                st.steps <- !steps;
+                error "%s in %s" msg meth.m_key
+            | Lconst_int (d, k) ->
+                regs.%(d) <- Value.of_int k;
                 incr pc;
-                decr budget;
-                match op with
-                | Lyield ->
-                    continue_ := false;
-                    yielded := true;
-                    inner := false
-                | Lcall _ ->
-                    (* A frame was pushed (or the call trapped into an
-                       error) — leave this frame parked at the return
-                       pc and re-enter on the new top frame. *)
-                    inner := false
-                | _ -> if !budget <= 0 then inner := false
-              end
-              else begin
+                1
+            | Lconst_bool (d, b) ->
+                regs.%(d) <- Value.of_bool b;
+                incr pc;
+                1
+            | Lconst_null d ->
+                regs.%(d) <- Value.Vnull;
+                incr pc;
+                1
+            | Lmove (d, s) ->
+                regs.%(d) <- regs.%(s);
+                incr pc;
+                1
+            | Ladd (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_int (Value.to_int regs.%(l) + Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Lsub (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_int (Value.to_int regs.%(l) - Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Lmul (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_int (Value.to_int regs.%(l) * Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Ldiv (d, l, r) ->
+                let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
+                if b = 0 then
+                  error "division by zero at line %d" meth.m_lines.(!pc);
+                regs.%(d) <- Value.of_int (a / b);
+                incr pc;
+                1
+            | Lmod (d, l, r) ->
+                let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
+                if b = 0 then
+                  error "division by zero at line %d" meth.m_lines.(!pc);
+                regs.%(d) <- Value.of_int (a mod b);
+                incr pc;
+                1
+            | Llt (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_bool (Value.to_int regs.%(l) < Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Lle (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_bool (Value.to_int regs.%(l) <= Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Lgt (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_bool (Value.to_int regs.%(l) > Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Lge (d, l, r) ->
+                regs.%(d) <-
+                  Value.of_bool (Value.to_int regs.%(l) >= Value.to_int regs.%(r));
+                incr pc;
+                1
+            | Leq (d, l, r) ->
+                regs.%(d) <- Value.of_bool (value_eq regs.%(l) regs.%(r));
+                incr pc;
+                1
+            | Lne (d, l, r) ->
+                regs.%(d) <- Value.of_bool (not (value_eq regs.%(l) regs.%(r)));
+                incr pc;
+                1
+            | Lneg (d, s) ->
+                regs.%(d) <- Value.of_int (-Value.to_int regs.%(s));
+                incr pc;
+                1
+            | Lnot (d, s) ->
+                regs.%(d) <- Value.of_bool (not (Value.to_bool regs.%(s)));
+                incr pc;
+                1
+            | Lgetfield (d, o, fm) ->
+                (* The error label is built only on the failure path:
+                   [as_ref]'s [~what] argument would otherwise allocate a
+                   string per access. *)
+                let obj =
+                  match regs.%(o) with
+                  | Value.Vref obj -> obj
+                  | v -> as_ref ~what:(fm.Ir.fm_name ^ " load") v
+                in
+                regs.%(d) <- (obj_fields st obj).(fm.Ir.fm_index);
+                if all_accesses then
+                  emit_access st t ~site:(-1)
+                    ~loc:
+                      (Memloc.field ~gran:st.cfg.granularity ~obj
+                         ~index:fm.Ir.fm_index)
+                    ~kind:Event.Read;
+                incr pc;
+                1
+            | Lputfield (o, fm, s) ->
+                let obj =
+                  match regs.%(o) with
+                  | Value.Vref obj -> obj
+                  | v -> as_ref ~what:(fm.Ir.fm_name ^ " store") v
+                in
+                (obj_fields st obj).(fm.Ir.fm_index) <- regs.%(s);
+                if all_accesses then
+                  emit_access st t ~site:(-1)
+                    ~loc:
+                      (Memloc.field ~gran:st.cfg.granularity ~obj
+                         ~index:fm.Ir.fm_index)
+                    ~kind:Event.Write;
+                incr pc;
+                1
+            | Lgetstatic (d, sm) ->
+                regs.%(d) <- st.globals.(sm.Ir.sm_slot);
+                if all_accesses then
+                  emit_access st t ~site:(-1)
+                    ~loc:
+                      (Memloc.static ~gran:st.cfg.granularity
+                         ~slot:sm.Ir.sm_slot)
+                    ~kind:Event.Read;
+                incr pc;
+                1
+            | Lputstatic (sm, s) ->
+                st.globals.(sm.Ir.sm_slot) <- regs.%(s);
+                if all_accesses then
+                  emit_access st t ~site:(-1)
+                    ~loc:
+                      (Memloc.static ~gran:st.cfg.granularity
+                         ~slot:sm.Ir.sm_slot)
+                    ~kind:Event.Write;
+                incr pc;
+                1
+            | Laload (d, a, idx) ->
+                let arr = as_ref ~what:"array load" regs.%(a) in
+                regs.%(d) <- (arr_elems st arr).(Value.to_int regs.%(idx));
+                if all_accesses then
+                  emit_access st t ~site:(-1)
+                    ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr)
+                    ~kind:Event.Read;
+                incr pc;
+                1
+            | Lastore (a, idx, s) ->
+                let arr = as_ref ~what:"array store" regs.%(a) in
+                (arr_elems st arr).(Value.to_int regs.%(idx)) <- regs.%(s);
+                if all_accesses then
+                  emit_access st t ~site:(-1)
+                    ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr)
+                    ~kind:Event.Write;
+                incr pc;
+                1
+            | Larrlen (d, a) ->
+                let arr = as_ref ~what:"length" regs.%(a) in
+                regs.%(d) <- Value.of_int (Array.length (arr_elems st arr));
+                incr pc;
+                1
+            | Lnullcheck r ->
+                (match regs.%(r) with
+                | Value.Vnull ->
+                    error "NullPointerException at %s line %d" meth.m_key
+                      meth.m_lines.(!pc)
+                | _ -> ());
+                incr pc;
+                1
+            | Lboundscheck (a, idx) ->
+                let arr = as_ref ~what:"array access" regs.%(a) in
+                let n = Array.length (arr_elems st arr) in
+                let k = Value.to_int regs.%(idx) in
+                if k < 0 || k >= n then
+                  error
+                    "ArrayIndexOutOfBoundsException: %d (length %d) at %s line \
+                     %d"
+                    k n meth.m_key meth.m_lines.(!pc);
+                incr pc;
+                1
+            | Lcall (dst, target, args, site) ->
+                push_call st t regs dst target args site;
+                (* Leave this frame parked at the return pc and re-enter
+                   on the callee's frame. *)
+                incr pc;
+                inner := false;
+                1
+            | Lyield ->
+                incr pc;
                 continue_ := false;
-                inner := false
-              end
+                yielded := true;
+                inner := false;
+                1
+            | Ltrace_field (o, index, kind, site) ->
+                let obj = as_ref ~what:"trace" regs.%(o) in
+                emit_access st t
+                  ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index)
+                  ~kind ~site;
+                incr pc;
+                1
+            | Ltrace_static (slot, kind, site) ->
+                emit_access st t
+                  ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot)
+                  ~kind ~site;
+                incr pc;
+                1
+            | Ltrace_array (a, kind, site) ->
+                emit_access st t
+                  ~loc:
+                    (Memloc.array ~gran:st.cfg.granularity
+                       ~obj:(as_ref ~what:"trace" regs.%(a)))
+                  ~kind ~site;
+                incr pc;
+                1
+            | Ltrace_field_spec (o, index, kind, site, cell) ->
+                let obj = as_ref ~what:"trace" regs.%(o) in
+                spec_access st t ~cell
+                  ~loc:(Memloc.field ~gran:st.cfg.granularity ~obj ~index)
+                  ~kind ~site;
+                incr pc;
+                1
+            | Ltrace_static_spec (slot, kind, site, cell) ->
+                spec_access st t ~cell
+                  ~loc:(Memloc.static ~gran:st.cfg.granularity ~slot)
+                  ~kind ~site;
+                incr pc;
+                1
+            | Ltrace_array_spec (a, kind, site, cell) ->
+                spec_access st t ~cell
+                  ~loc:
+                    (Memloc.array ~gran:st.cfg.granularity
+                       ~obj:(as_ref ~what:"trace" regs.%(a)))
+                  ~kind ~site;
+                incr pc;
+                1
+            | Laload_checked (d, a, idx) -> (
+                match regs.%(a) with
+                | Value.Vnull ->
+                    error "NullPointerException at %s line %d" meth.m_key
+                      meth.m_lines.(!pc)
+                | Value.Vref obj when !budget >= 3 && !steps + 2 <= max_steps
+                  -> (
+                    match (Heap.get st.heap obj, regs.%(idx)) with
+                    | Heap.Arr { elems }, Value.Vint k
+                      when k >= 0 && k < Array.length elems ->
+                        regs.%(d) <- Array.unsafe_get elems k;
+                        if all_accesses then
+                          emit_access st t ~site:(-1)
+                            ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj)
+                            ~kind:Event.Read;
+                        pc := !pc + 3;
+                        steps := !steps + 2;
+                        3
+                    | _ ->
+                        incr pc;
+                        1)
+                | _ ->
+                    incr pc;
+                    1)
+            | Lastore_checked (a, idx, s) -> (
+                match regs.%(a) with
+                | Value.Vnull ->
+                    error "NullPointerException at %s line %d" meth.m_key
+                      meth.m_lines.(!pc)
+                | Value.Vref obj when !budget >= 3 && !steps + 2 <= max_steps
+                  -> (
+                    match (Heap.get st.heap obj, regs.%(idx)) with
+                    | Heap.Arr { elems }, Value.Vint k
+                      when k >= 0 && k < Array.length elems ->
+                        Array.unsafe_set elems k regs.%(s);
+                        if all_accesses then
+                          emit_access st t ~site:(-1)
+                            ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj)
+                            ~kind:Event.Write;
+                        pc := !pc + 3;
+                        steps := !steps + 2;
+                        3
+                    | _ ->
+                        incr pc;
+                        1)
+                | _ ->
+                    incr pc;
+                    1)
+            | Lconst_add (kr, k, d, x) -> (
+                regs.%(kr) <- Value.of_int k;
+                match regs.%(x) with
+                | Value.Vint v when !budget >= 2 && !steps < max_steps ->
+                    regs.%(d) <- Value.of_int (v + k);
+                    pc := !pc + 2;
+                    incr steps;
+                    2
+                | _ ->
+                    incr pc;
+                    1)
+            | Lconst_sub (kr, k, d, x) -> (
+                regs.%(kr) <- Value.of_int k;
+                match regs.%(x) with
+                | Value.Vint v when !budget >= 2 && !steps < max_steps ->
+                    regs.%(d) <- Value.of_int (v - k);
+                    pc := !pc + 2;
+                    incr steps;
+                    2
+                | _ ->
+                    incr pc;
+                    1)
+            | Llt_if (d, l, r, tl, fl) ->
+                let c = Value.to_int regs.%(l) < Value.to_int regs.%(r) in
+                regs.%(d) <- Value.of_bool c;
+                (* The [if] spends no budget, but the slice must not end
+                   at the [lt] before it. *)
+                if !budget >= 2 && !steps < max_steps then begin
+                  incr steps;
+                  pc := if c then tl else fl
+                end
+                else incr pc;
+                1
+            | op ->
+                if exec_rare st t frame regs op !pc then begin
+                  incr pc;
+                  1
+                end
+                else begin
+                  (* Blocked: retry this slot when rescheduled. *)
+                  continue_ := false;
+                  inner := false;
+                  0
+                end
+          in
+          if spent > 0 then begin
+            budget := !budget - spent;
+            if !budget <= 0 then inner := false
+          end
         done;
         frame.f_pc <- !pc;
         st.steps <- !steps

@@ -151,6 +151,120 @@ let test_missing_main () =
       if not (contains ~sub:"no main method" msg && contains ~sub:"Nope.main" msg)
       then Alcotest.failf "unhelpful Link_error: %S" msg
 
+let superinstruction_kind = function
+  | Link.Laload_checked _ -> "checked aload"
+  | Link.Lastore_checked _ -> "checked astore"
+  | Link.Lconst_add _ -> "const+add"
+  | Link.Lconst_sub _ -> "const+sub"
+  | Link.Llt_if _ -> "lt+if"
+  | _ -> "single op"
+
+(* Fusion rewrites only the first slot of each fused run: undoing it
+   (each slot back to the head of its [expand]) and fusing again gives
+   the linked method back, with code length, lines and entry untouched
+   and every covered slot still holding its own single op. *)
+let test_fusion_in_place () =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun name ->
+      let img = Link.link (prog_of (benchmark name)) in
+      Array.iter
+        (fun (m : Link.lmethod) ->
+          let unfused =
+            Array.map (fun op -> List.hd (Link.expand op)) m.Link.m_code
+          in
+          let plain = { m with Link.m_code = Array.copy unfused } in
+          let fused = Link.fuse plain in
+          let where pc = Printf.sprintf "%s %s pc %d" name m.Link.m_key pc in
+          Alcotest.(check int)
+            (m.Link.m_key ^ " code length")
+            (Array.length unfused)
+            (Array.length fused.Link.m_code);
+          Alcotest.(check (array int))
+            (m.Link.m_key ^ " lines") plain.Link.m_lines fused.Link.m_lines;
+          Alcotest.(check int)
+            (m.Link.m_key ^ " entry") plain.Link.m_entry fused.Link.m_entry;
+          if fused.Link.m_code <> m.Link.m_code then
+            Alcotest.failf "%s %s: re-fusing the unfused code differs from the \
+                            linked code" name m.Link.m_key;
+          Array.iteri
+            (fun pc op ->
+              match Link.expand op with
+              | [ single ] ->
+                  if single <> unfused.(pc) then
+                    Alcotest.failf "%s: single op rewritten" (where pc)
+              | singles ->
+                  Hashtbl.replace seen (superinstruction_kind op) ();
+                  List.iteri
+                    (fun k single ->
+                      if single <> unfused.(pc + k) then
+                        Alcotest.failf "%s: covered slot %d does not hold its \
+                                        single op" (where pc) (pc + k);
+                      if k > 0 && fused.Link.m_code.(pc + k) <> single then
+                        Alcotest.failf "%s: covered slot %d was rewritten"
+                          (where pc) (pc + k))
+                    singles)
+            fused.Link.m_code)
+        img.Link.i_methods)
+    [ "sor2"; "mtrt"; "tsp" ];
+  (* All five superinstructions occur in the Table 2 programs. *)
+  Alcotest.(check int) "superinstruction kinds linked" 5 (Hashtbl.length seen)
+
+let method_of code nregs =
+  {
+    Link.m_id = 0;
+    m_key = "T.m";
+    m_nregs = nregs;
+    m_nparams = 0;
+    m_entry = 0;
+    m_code = code;
+    m_lines = Array.make (Array.length code) 1;
+  }
+
+let expect_link_error label sub m =
+  match Link.validate m with
+  | _ -> Alcotest.failf "%s: validate accepted the method" label
+  | exception Link.Link_error msg ->
+      if not (contains ~sub msg) then
+        Alcotest.failf "%s: unhelpful Link_error %S" label msg
+
+let test_validate_superinstructions () =
+  (* Well-formed: k := 1; d := x + k, then return. *)
+  ignore
+    (Link.validate
+       (method_of
+          [| Link.Lconst_add (0, 1, 1, 1); Link.Ladd (1, 1, 0); Link.Lret None |]
+          2));
+  (* The covered add reads r7, outside a 2-register file. *)
+  expect_link_error "covered operand out of range" "register r7"
+    (method_of
+       [| Link.Lconst_add (0, 1, 1, 7); Link.Ladd (1, 7, 0); Link.Lret None |]
+       2);
+  (* The array op's covered index register r5 is out of range. *)
+  expect_link_error "covered index out of range" "register r5"
+    (method_of
+       [|
+         Link.Laload_checked (0, 1, 5);
+         Link.Lboundscheck (1, 5);
+         Link.Laload (0, 1, 5);
+         Link.Lret None;
+       |]
+       2);
+  (* A covered slot that does not hold the op the superinstruction
+     stands for. *)
+  expect_link_error "covered slot mismatch" "superinstruction at pc 0"
+    (method_of
+       [|
+         Link.Laload_checked (0, 1, 0);
+         Link.Lboundscheck (1, 0);
+         Link.Lastore (1, 0, 0);
+         Link.Lret None;
+       |]
+       2);
+  (* A superinstruction whose covered slots run off the end. *)
+  expect_link_error "covered slots past the end" "superinstruction at pc 0"
+    (method_of [| Link.Llt_if (0, 1, 1, 0, 0) |] 2)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest stability_prop;
@@ -160,4 +274,8 @@ let suite =
       test_vtable_rows;
     Alcotest.test_case "missing p_main is rejected with a clear error" `Quick
       test_missing_main;
+    Alcotest.test_case "fusion keeps length, lines, entry and covered slots"
+      `Quick test_fusion_in_place;
+    Alcotest.test_case "validate checks every superinstruction operand" `Quick
+      test_validate_superinstructions;
   ]

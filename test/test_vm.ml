@@ -316,6 +316,69 @@ let test_runtime_errors () =
         {| class W extends Thread { void run() { } }
            class Main { static void main() { W w = new W(); w.start(); w.start(); } } |})
 
+(* Array errors raised inside the fused nullcheck+boundscheck+access
+   superinstructions carry the reference interpreter's exact message and
+   source line. *)
+let test_fused_array_errors () =
+  let module Pipeline = Drd_harness.Pipeline in
+  let module Link = Drd_ir.Link in
+  let source ~decl ~access =
+    String.concat "\n"
+      [
+        "class Main {";
+        "  static void main() {";
+        "    int[] a = " ^ decl ^ ";";
+        "    " ^ access;
+        "  }";
+        "}";
+      ]
+  in
+  let fused = function
+    | Link.Laload_checked _ | Link.Lastore_checked _ -> true
+    | _ -> false
+  in
+  let message engine compiled =
+    match Pipeline.run ~engine compiled with
+    | _ -> None
+    | exception Interp.Runtime_error m -> Some m
+  in
+  List.iter
+    (fun (label, decl, access, expected) ->
+      let compiled =
+        Pipeline.compile Drd_harness.Config.base ~source:(source ~decl ~access)
+      in
+      let img = compiled.Pipeline.image in
+      if not (Array.exists fused img.Link.i_methods.(img.Link.i_main).Link.m_code)
+      then Alcotest.failf "%s: the access is not linked as a superinstruction" label;
+      let linked = message `Linked compiled in
+      Alcotest.(check (option string))
+        (label ^ ": same message as ref")
+        (message `Ref compiled) linked;
+      Alcotest.(check (option string)) (label ^ ": message") (Some expected) linked)
+    [
+      ( "null load",
+        "null",
+        "print(\"x\", a[0]);",
+        "NullPointerException at Main.main line 4" );
+      ("null store", "null", "a[0] = 1;", "NullPointerException at Main.main line 4");
+      ( "load at -1",
+        "new int[3]",
+        "print(\"x\", a[0 - 1]);",
+        "ArrayIndexOutOfBoundsException: -1 (length 3) at Main.main line 4" );
+      ( "store at -1",
+        "new int[3]",
+        "a[0 - 1] = 1;",
+        "ArrayIndexOutOfBoundsException: -1 (length 3) at Main.main line 4" );
+      ( "load at length",
+        "new int[3]",
+        "print(\"x\", a[3]);",
+        "ArrayIndexOutOfBoundsException: 3 (length 3) at Main.main line 4" );
+      ( "store at length",
+        "new int[3]",
+        "a[3] = 1;",
+        "ArrayIndexOutOfBoundsException: 3 (length 3) at Main.main line 4" );
+    ]
+
 let test_deadlock_detected () =
   expect_error "deadlock" "deadlock" (fun () ->
       Pipe.run
@@ -380,6 +443,8 @@ let suite =
     Alcotest.test_case "reentrant monitor" `Quick test_reentrant_monitor;
     Alcotest.test_case "join semantics" `Quick test_join_semantics;
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
+    Alcotest.test_case "array errors inside superinstructions" `Quick
+      test_fused_array_errors;
     Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "bare Thread" `Quick test_thread_default_run;

@@ -18,6 +18,7 @@ module Hb_fingerprint = Drd_explore.Hb_fingerprint
 module Interp = Drd_vm.Interp
 module Sink = Drd_vm.Sink
 module Value = Drd_vm.Value
+module Link = Drd_ir.Link
 open Drd_core
 
 (* A sink recording every notification into an event log (the post-
@@ -187,6 +188,144 @@ let test_identity name source strategy () =
     check_obs (label ^ " [spec]") a c
   done
 
+(* Run [vm] on all three engines; linked and specialized must match the
+   reference run, which is returned. *)
+let same_three_ways label compiled vm =
+  let a = observe ~engine:`Ref compiled vm in
+  check_obs label a (observe ~engine:`Linked compiled vm);
+  check_obs (label ^ " [spec]") a (observe ~engine:`Spec compiled vm);
+  a
+
+(* Superinstructions take their fast path only when the slice budget
+   has room for every slot they cover; quanta of 1-3 end slices on each
+   covered slot, so every fused op's partial path runs.  PCT slices are
+   exactly [quantum] long, so a quantum-2 PCT run splits the three-slot
+   array ops in every slice. *)
+let test_budget_boundaries name source () =
+  let compiled = compiled_of name source in
+  let base = Pipeline.vm_config_of compiled.Pipeline.config in
+  let runs =
+    List.map
+      (fun q ->
+        (Printf.sprintf "%s quantum %d" name q, { base with Interp.quantum = q }))
+      [ 1; 2; 3 ]
+    @ [
+        ( name ^ " pct quantum 2",
+          {
+            base with
+            Interp.quantum = 2;
+            policy = Interp.Pct { depth = 3; horizon = 20_000 };
+          } );
+      ]
+  in
+  List.iter (fun (label, vm) -> ignore (same_three_ways label compiled vm)) runs
+
+(* A step limit that falls on every slot of a small array loop — inside
+   the fused array accesses, const+add/sub and lt+if runs too — must stop
+   every engine on the same slot: same error, same event-log prefix.
+   [all_accesses] logs every array access, so the prefix pins the stop
+   to the access. *)
+let test_step_limit_sweep () =
+  let source =
+    {|
+    class Main {
+      static void main() {
+        int[] a = new int[4];
+        for (int i = 0; i < a.length; i = i + 1) {
+          a[i] = a[i] + i;
+          a[i] = a[i] - 1;
+        }
+        print("a3", a[3]);
+      }
+    }
+  |}
+  in
+  let compiled = compiled_of "step-limit-loop" source in
+  let main =
+    let img = compiled.Pipeline.image in
+    img.Link.i_methods.(img.Link.i_main).Link.m_code
+  in
+  List.iter
+    (fun (kind, is) ->
+      if not (Array.exists is main) then
+        Alcotest.failf "the loop no longer links a %s superinstruction" kind)
+    [
+      ("checked aload", function Link.Laload_checked _ -> true | _ -> false);
+      ("checked astore", function Link.Lastore_checked _ -> true | _ -> false);
+      ("const+add", function Link.Lconst_add _ -> true | _ -> false);
+      ("const+sub", function Link.Lconst_sub _ -> true | _ -> false);
+      ("lt+if", function Link.Llt_if _ -> true | _ -> false);
+    ];
+  let vm =
+    {
+      (Pipeline.vm_config_of compiled.Pipeline.config) with
+      Interp.all_accesses = true;
+    }
+  in
+  let total = (observe ~engine:`Ref compiled vm).o_steps in
+  if total < 40 then Alcotest.failf "loop ran only %d steps" total;
+  for max_steps = 1 to total + 1 do
+    let vm = { vm with Interp.max_steps } in
+    let label = Printf.sprintf "max_steps %d" max_steps in
+    let a = same_three_ways label compiled vm in
+    Alcotest.(check (option string))
+      (label ^ " stops at the limit")
+      (if max_steps < total then Some "step limit exceeded" else None)
+      a.o_error
+  done
+
+(* PCT crosses a change point at the first slice end whose step count
+   reaches it, so a superinstruction that ran past its budget would move
+   a slice end by a step and reorder the threads.  Dense change points
+   over two threads sharing an array loop, at quanta 2 and 3, put slice
+   ends on every covered slot. *)
+let test_pct_change_points () =
+  let source =
+    {|
+    class W extends Thread {
+      int[] a;
+      void run() {
+        for (int i = 0; i < a.length; i = i + 1) { a[i] = a[i] + 1; }
+      }
+    }
+    class Main {
+      static void main() {
+        int[] a = new int[6];
+        W w1 = new W(); w1.a = a;
+        W w2 = new W(); w2.a = a;
+        w1.start(); w2.start();
+        w1.join(); w2.join();
+        print("a0", a[0]);
+      }
+    }
+  |}
+  in
+  let compiled = compiled_of "pct-loop" source in
+  let vm =
+    {
+      (Pipeline.vm_config_of compiled.Pipeline.config) with
+      Interp.all_accesses = true;
+    }
+  in
+  let total = (observe ~engine:`Ref compiled vm).o_steps in
+  List.iter
+    (fun quantum ->
+      for seed = 0 to 19 do
+        let vm =
+          {
+            vm with
+            Interp.seed;
+            quantum;
+            policy = Interp.Pct { depth = total / 4; horizon = total };
+          }
+        in
+        ignore
+          (same_three_ways
+             (Printf.sprintf "pct quantum %d seed %d" quantum seed)
+             compiled vm)
+      done)
+    [ 2; 3 ]
+
 let test_record_log name source () =
   (* The post-mortem recording path proper (not just its sink as a tap)
      must also be engine-independent. *)
@@ -216,5 +355,15 @@ let suite =
           Alcotest.test_case
             (name ^ " record_log byte-identical")
             `Quick (test_record_log name source);
+          Alcotest.test_case
+            (name ^ " quanta 1-3 and pct byte-identical")
+            `Quick
+            (test_budget_boundaries name source);
         ])
     sources
+  @ [
+      Alcotest.test_case "step limit on every slot byte-identical" `Quick
+        test_step_limit_sweep;
+      Alcotest.test_case "dense pct change points byte-identical" `Quick
+        test_pct_change_points;
+    ]
