@@ -198,16 +198,6 @@ let engine_arg =
            reports; $(b,linked) and $(b,ref) exist for cross-checking and \
            benchmarking.")
 
-let no_specialize_arg =
-  Arg.(
-    value & flag
-    & info [ "no-specialize" ]
-        ~doc:
-          "Disable the link-time specialized trace fast paths: run the \
-           $(b,linked) engine even though $(b,specialized) is the default. \
-           Reports are identical either way; this exists for cross-checking \
-           and for timing the generic detector pipeline.")
-
 let site_stats_arg =
   Arg.(
     value & flag
@@ -277,7 +267,7 @@ let runs_arg =
 
 (* ---- run: JSON rendering on the shared Wire.json value ---- *)
 
-let run_json compiled (r : H.Pipeline.result) ~extra =
+let run_json compiled (r : H.Pipeline.result) ~deadlocks ~extra =
   let names = H.Pipeline.names_of compiled r in
   let race_json (race : Drd_core.Report.race) =
     let e = race.Drd_core.Report.current in
@@ -348,7 +338,7 @@ let run_json compiled (r : H.Pipeline.result) ~extra =
                 (List.map (fun t -> W.Int t) d.Drd_core.Lock_order.dl_threads)
             );
           ])
-      r.H.Pipeline.deadlocks
+      deadlocks
   in
   print_endline
     (W.json_to_string
@@ -427,12 +417,29 @@ let site_stats_json compiled (r : H.Pipeline.result) =
         ("site_stats", W.List !rows);
       ]
 
-let run_cmd_impl file benchmark config_name detector seed quantum pct
-    pct_horizon engine no_specialize site_stats verbose json =
-  or_compile_error @@ fun () ->
-  let engine : H.Pipeline.engine =
-    if no_specialize && engine = `Spec then `Linked else engine
+(* Compile and run once.  Under the paper detector the Section 10 side
+   analyses ride along as taps: potential deadlocks from the lock-order
+   graph, and the immutability summary. *)
+let run_tapped ~engine ~site_stats config source =
+  let compiled = H.Pipeline.compile config ~source in
+  let locks = Drd_core.Lock_order.create () in
+  let immut = Drd_core.Immutability.create () in
+  let ours = config.H.Config.detector = H.Config.Ours in
+  let tap =
+    if ours then Some Drd_vm.Sink.(tee (lock_order locks) (immutability immut))
+    else None
   in
+  let r = H.Pipeline.run ?tap ~engine ~site_stats compiled in
+  if ours then
+    ( compiled,
+      r,
+      Drd_core.Lock_order.potential_deadlocks locks,
+      Some (Drd_core.Immutability.summary immut) )
+  else (compiled, r, [], None)
+
+let run_cmd_impl file benchmark config_name detector seed quantum pct
+    pct_horizon engine site_stats verbose json =
+  or_compile_error @@ fun () ->
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source -> (
@@ -446,13 +453,15 @@ let run_cmd_impl file benchmark config_name detector seed quantum pct
       with
       | Error e -> `Error (false, e)
       | Ok config when json ->
-          let compiled = H.Pipeline.compile config ~source in
-          let r = H.Pipeline.run ~engine ~site_stats compiled in
-          run_json compiled r ~extra:(site_stats_json compiled r);
+          let compiled, r, deadlocks, _ =
+            run_tapped ~engine ~site_stats config source
+          in
+          run_json compiled r ~deadlocks ~extra:(site_stats_json compiled r);
           `Ok ()
       | Ok config ->
-          let compiled = H.Pipeline.compile config ~source in
-          let r = H.Pipeline.run ~engine ~site_stats compiled in
+          let compiled, r, deadlocks, immutability =
+            run_tapped ~engine ~site_stats config source
+          in
           List.iter
             (fun (tag, v) ->
               match v with
@@ -482,7 +491,7 @@ let run_cmd_impl file benchmark config_name detector seed quantum pct
                 Fmt.pr "@.Dataraces reported by %s on:@." config.H.Config.name;
                 List.iter (Fmt.pr "  %s@.") r.H.Pipeline.races
               end);
-          (match r.H.Pipeline.deadlocks with
+          (match deadlocks with
           | [] -> ()
           | dls ->
               Fmt.pr "@.Potential deadlocks (lock-order cycles):@.";
@@ -506,7 +515,7 @@ let run_cmd_impl file benchmark config_name detector seed quantum pct
             Fmt.pr "steps:             %d@." r.H.Pipeline.steps;
             Fmt.pr "events:            %d@." r.H.Pipeline.events;
             Fmt.pr "wall time:         %.3fs@." r.H.Pipeline.wall_time;
-            (match r.H.Pipeline.immutability with
+            (match immutability with
             | Some s ->
                 Fmt.pr "immutability:      %a@." Drd_core.Immutability.pp_summary s
             | None -> ());
@@ -525,20 +534,22 @@ let run_cmd =
       ret
         (const run_cmd_impl $ file_arg $ benchmark_arg $ config_arg
        $ detector_arg $ seed_arg $ quantum_arg $ pct_arg $ pct_horizon_arg
-       $ engine_arg $ no_specialize_arg $ site_stats_arg $ verbose_arg
+       $ engine_arg $ site_stats_arg $ verbose_arg
        $ json_arg))
 
 (* ---- analyze ---- *)
 
+(* The static analysis runs on the lowered, unpeeled program: the
+   NoPeeling configuration's compile computes exactly these statistics. *)
 let analyze_impl file benchmark =
+  or_compile_error @@ fun () ->
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok source ->
-      let ast = Drd_lang.Parser.parse_program source in
-      let tprog = Drd_lang.Typecheck.check ast in
-      let prog = Drd_ir.Lower.lower_program tprog in
-      let rs = Drd_static.Race_set.compute prog in
-      Fmt.pr "%a@." Drd_static.Race_set.pp_stats (Drd_static.Race_set.stats rs);
+      let compiled = H.Pipeline.compile H.Config.no_peeling ~source in
+      Option.iter
+        (Fmt.pr "%a@." Drd_static.Race_set.pp_stats)
+        compiled.H.Pipeline.static_stats;
       `Ok ()
 
 let analyze_cmd =

@@ -38,9 +38,18 @@ let hazard_src =
   }
 |}
 
+(* Both analyses are taps: they observe the run's event stream next to
+   the race detector. *)
+let run_tapped source =
+  let locks = Lock_order.create () in
+  let immut = Immutability.create () in
+  let tap = Drd_vm.Sink.(tee (lock_order locks) (immutability immut)) in
+  let r = H.Pipeline.run ~tap (H.Pipeline.compile H.Config.full ~source) in
+  (r, locks, immut)
+
 let () =
   Fmt.pr "=== potential deadlocks (lock-order cycles) ===@.";
-  let _, r = H.Pipeline.run_source H.Config.full hazard_src in
+  let r, lock_order, _ = run_tapped hazard_src in
   Fmt.pr "the run completed (uses printed: %d values), no dataraces: %b@."
     (List.length r.H.Pipeline.prints)
     (r.H.Pipeline.races = []);
@@ -53,7 +62,7 @@ let () =
         d.Lock_order.dl_locks
         Fmt.(list ~sep:comma int)
         d.Lock_order.dl_threads)
-    r.H.Pipeline.deadlocks;
+    (Lock_order.potential_deadlocks lock_order);
   Fmt.pr
     "The hazard is reported although this schedule never blocked — the@.";
   Fmt.pr "cycle exists in the lock-order graph.@.";
@@ -61,11 +70,9 @@ let () =
   Fmt.pr "@.=== dynamic immutability analysis ===@.";
   List.iter
     (fun (b : H.Programs.benchmark) ->
-      let _, r = H.Pipeline.run_source H.Config.full b.H.Programs.b_source in
-      match r.H.Pipeline.immutability with
-      | Some s ->
-          Fmt.pr "  %-10s %a@." b.H.Programs.b_name Immutability.pp_summary s
-      | None -> ())
+      let _, _, immut = run_tapped b.H.Programs.b_source in
+      Fmt.pr "  %-10s %a@." b.H.Programs.b_name Immutability.pp_summary
+        (Immutability.summary immut))
     H.Programs.benchmarks;
   Fmt.pr
     "Shared-immutable locations are the initialize-then-publish data that@.";

@@ -30,9 +30,11 @@ let default_options =
 
 type outcome = { oc_races : string list; oc_error : string option }
 
-(* One program under one technique.  The schedule is a function of the
-   spec alone (same seed/quantum/policy for every detector), so
-   detectors disagree only by discipline, never by interleaving. *)
+(* One program under one technique, through the one run path: the
+   registry row's configuration selects the detector.  The schedule is a
+   function of the spec alone (same seed/quantum/policy for every
+   detector), so detectors disagree only by discipline, never by
+   interleaving. *)
 let run_one (opts : options) (entry : Registry.entry) (sp : Gen.spec) : outcome
     =
   let source = Gen.emit sp in
@@ -45,9 +47,9 @@ let run_one (opts : options) (entry : Registry.entry) (sp : Gen.spec) : outcome
     let vm =
       { (P.vm_config_of config) with Interp.max_steps = opts.o_max_steps }
     in
-    P.run_module ~vm entry.Registry.impl compiled
+    P.run ~vm compiled
   with
-  | r -> { oc_races = r.P.m_races; oc_error = None }
+  | r -> { oc_races = r.P.races; oc_error = None }
   | exception e -> { oc_races = []; oc_error = Some (Printexc.to_string e) }
 
 let reported (oc : outcome) (c : Gen.cell) =

@@ -61,7 +61,7 @@ let report d loc make_access =
 
 (* The scalar hot path: the Event.t is only allocated if this access
    actually reports a race. *)
-let on_access_interned d ~loc ~thread ~locks ~kind ~site =
+let on_access d ~loc ~thread ~locks ~kind ~site =
   d.events <- d.events + 1;
   let report_here () =
     report d loc (fun () ->

@@ -34,7 +34,7 @@ val reset : t -> unit
 (** Return the detector to its freshly-created state in place (see
     {!Drd_core.Detector_intf.S}). *)
 
-val on_access_interned :
+val on_access :
   t ->
   loc:Event.loc_id ->
   thread:Event.thread_id ->
@@ -42,8 +42,8 @@ val on_access_interned :
   kind:Event.kind ->
   site:Event.site_id ->
   unit
-(** The primary (hot-path) entry point, mirroring
-    {!Drd_core.Detector.on_access_interned}: process one access as five
+(** The access entry point, mirroring
+    {!Drd_core.Detector.on_access}: process one access as five
     scalars.  No [Event.t] is allocated unless the access reports a
     race. *)
 

@@ -112,7 +112,7 @@ let on_thread_join d ~joiner ~joinee =
    ignored, and reported events carry the empty lockset so that reports
    do not vary with instrumentation details the algorithm never reads
    (this used to be the caller's job; it lives here now). *)
-let on_access_interned d ~loc ~thread ~locks:_ ~kind ~site =
+let on_access d ~loc ~thread ~locks:_ ~kind ~site =
   d.events <- d.events + 1;
   let report_here () =
     report d loc (fun () ->

@@ -22,7 +22,7 @@ val reset : t -> unit
 (** Return the detector to its freshly-created state in place (see
     {!Drd_core.Detector_intf.S}); grown clock arrays are kept, zeroed. *)
 
-val on_access_interned :
+val on_access :
   t ->
   loc:Event.loc_id ->
   thread:Event.thread_id ->
@@ -30,8 +30,8 @@ val on_access_interned :
   kind:Event.kind ->
   site:Event.site_id ->
   unit
-(** The primary (hot-path) entry point, mirroring
-    {!Drd_core.Detector.on_access_interned}.  [locks] is ignored: the
+(** The access entry point, mirroring
+    {!Drd_core.Detector.on_access}.  [locks] is ignored: the
     ordering comes entirely from the synchronization callbacks below,
     and reported events carry the empty lockset so reports never vary
     with instrumentation details the algorithm does not read. *)

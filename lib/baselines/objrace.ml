@@ -47,7 +47,7 @@ let report d loc make_access =
 
 (* The scalar hot path: the Event.t is only allocated if this access
    actually reports a race. *)
-let on_access_interned d ~loc ~thread ~locks ~kind ~site =
+let on_access d ~loc ~thread ~locks ~kind ~site =
   d.events <- d.events + 1;
   let st =
     match Hashtbl.find_opt d.states loc with
@@ -71,7 +71,7 @@ let on_access_interned d ~loc ~thread ~locks ~kind ~site =
 (* A virtual method invocation on a receiver object is treated as a
    write access to the object. *)
 let on_call d ~thread ~obj_loc ~locks ~site =
-  on_access_interned d ~loc:obj_loc ~thread ~locks ~kind:Event.Write ~site
+  on_access d ~loc:obj_loc ~thread ~locks ~kind:Event.Write ~site
 
 (* Detector_intf.S plumbing.  Like Eraser, the discipline is refined
    purely from per-access locksets — synchronization-order hooks are

@@ -197,7 +197,7 @@ let touch_loc d es loc =
 
 type outcome = Cache_hit | Owned_skip | Reached
 
-(* Scalar entry point: five immediates in, no [Event.t] materialized
+(* The one entry point: five immediates in, no [Event.t] materialized
    unless the event survives both the cache and the ownership filter —
    i.e. unless it actually reaches trie storage and may be needed for a
    race report.  Returns where the event stopped: the specialized VM
@@ -205,7 +205,7 @@ type outcome = Cache_hit | Owned_skip | Reached
    certifies the trie now covers this (thread, locks, kind) at [loc] —
    a cache hit is recorded before the ownership check and an owned skip
    never touches the trie, so neither justifies dropping repeats). *)
-let on_access_outcome d ~loc ~thread ~(locks : Lockset_id.id) ~kind ~site :
+let on_access d ~loc ~thread ~(locks : Lockset_id.id) ~kind ~site :
     outcome =
   d.events_in <- d.events_in + 1;
   (match d.evict with Some es -> touch_loc d es loc | None -> ());
@@ -252,13 +252,6 @@ let on_access_outcome d ~loc ~thread ~(locks : Lockset_id.id) ~kind ~site :
       Reached
     end
     else Owned_skip
-
-let on_access_interned d ~loc ~thread ~locks ~kind ~site =
-  ignore (on_access_outcome d ~loc ~thread ~locks ~kind ~site : outcome)
-
-let on_access d (e : Event.t) =
-  on_access_interned d ~loc:e.loc ~thread:e.thread ~locks:e.locks ~kind:e.kind
-    ~site:e.site
 
 let on_acquire d ~thread ~lock =
   if d.config.use_cache then Cache.acquired (cache_of d thread) lock
@@ -349,13 +342,13 @@ let pp_stats ppf (s : stats) =
     s.events_in s.cache_hits s.ownership_filtered s.weaker_filtered
     s.race_checks s.races_reported s.locations_tracked s.trie_nodes
 
-(* The paper detector packaged behind the common detector interface:
-   a Full-configuration detector bundled with its own report collector
-   so that [create : unit -> t] holds.  Fork/join ordering is modeled
+(* The paper detector behind the common detector interface: [create]
+   bundles a default-configuration detector with a fresh report
+   collector, and [reset] empties both.  Fork/join ordering is modeled
    by the join pseudo-locks the VM folds into each access's lockset,
    not by explicit edges, so the start/join hooks are no-ops here. *)
 module Standard = struct
-  type nonrec t = { det : t; coll : Report.collector }
+  type nonrec t = t
 
   let id = "paper"
 
@@ -365,32 +358,28 @@ module Standard = struct
 
   let needs_call_events = false
 
-  let create () =
-    let coll = Report.collector () in
-    { det = create coll; coll }
+  let create () = create (Report.collector ())
 
-  let on_access_interned d ~loc ~thread ~locks ~kind ~site =
-    on_access_interned d.det ~loc ~thread ~locks ~kind ~site
+  let on_access d ~loc ~thread ~locks ~kind ~site =
+    ignore (on_access d ~loc ~thread ~locks ~kind ~site : outcome)
 
   let on_call _ ~thread:_ ~obj_loc:_ ~locks:_ ~site:_ = ()
 
-  let on_acquire d ~thread ~lock = on_acquire d.det ~thread ~lock
+  let on_acquire = on_acquire
 
-  let on_release d ~thread ~lock = on_release d.det ~thread ~lock
+  let on_release = on_release
 
   let on_thread_start _ ~parent:_ ~child:_ = ()
 
   let on_thread_join _ ~joiner:_ ~joinee:_ = ()
 
-  let on_thread_exit d ~thread = on_thread_exit d.det ~thread
+  let on_thread_exit = on_thread_exit
 
   let reset d =
-    reset d.det;
-    Report.reset d.coll
+    reset d;
+    Report.reset d.collector
 
-  let racy_locs d = Report.racy_locs d.coll
+  let racy_locs d = Report.racy_locs d.collector
 
-  let race_count d = Report.count d.coll
-
-  let events_seen d = (stats d.det).events_in
+  let events_seen d = d.events_in
 end

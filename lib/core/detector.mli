@@ -90,7 +90,7 @@ type outcome =
           the first one) and an owned-skip event never enters the trie
           at all. *)
 
-val on_access_outcome :
+val on_access :
   t ->
   loc:Event.loc_id ->
   thread:Event.thread_id ->
@@ -98,28 +98,14 @@ val on_access_outcome :
   kind:Event.kind ->
   site:Event.site_id ->
   outcome
-(** Exactly {!on_access_interned}, additionally reporting where the
-    event stopped in the cache → ownership → trie pipeline. *)
-
-val on_access_interned :
-  t ->
-  loc:Event.loc_id ->
-  thread:Event.thread_id ->
-  locks:Lockset_id.id ->
-  kind:Event.kind ->
-  site:Event.site_id ->
-  unit
-(** The primary entry point: process one access event end-to-end —
-    cache, ownership, weakness check, race check, history update — from
-    five scalars.  No [Event.t] is allocated unless the event survives
+(** The one entry point: process one access event end-to-end — cache,
+    ownership, weakness check, race check, history update — from five
+    scalars, and report where it stopped in the cache → ownership →
+    trie pipeline.  No [Event.t] is allocated unless the event survives
     both the cache and the ownership filter (i.e. reaches trie
     storage), so cache-hit and ownership-filtered events are processed
     allocation-free.  The baseline detectors ({!Drd_baselines}) expose
-    the same shape. *)
-
-val on_access : t -> Event.t -> unit
-(** Convenience wrapper: {!on_access_interned} on the fields of a
-    pre-built event. *)
+    the same shape, returning [unit]. *)
 
 val on_acquire : t -> thread:Event.thread_id -> lock:Event.lock_id -> unit
 (** Outermost acquisition of a real lock by [thread] (reentrant
@@ -161,12 +147,12 @@ val stats : t -> stats
 
 val pp_stats : stats Fmt.t
 
-module Standard : Detector_intf.S
-(** The paper detector behind the common {!Detector_intf.S} shape: a
-    [default_config] detector bundled with a private report collector.
-    Fork/join ordering is modeled by the join pseudo-locks the event
-    source folds into each lockset — the explicit start/join hooks are
-    no-ops.  The harness's primary path ({!Drd_harness.Pipeline.run})
-    still drives {!t} directly for stats, immutability and lock-order
-    side analyses; [Standard] is the uniform face the detector registry
-    and the differential arena program against. *)
+module Standard : Detector_intf.S with type t = t
+(** The paper detector behind the common {!Detector_intf.S} shape:
+    [create] bundles a [default_config] detector with a fresh report
+    collector, and [reset] empties both.  Fork/join ordering is modeled
+    by the join pseudo-locks the event source folds into each lockset —
+    the explicit start/join hooks are no-ops.  {!Drd_harness.Pipeline.run}
+    drives {!t} directly, for its statistics and the specialized trace
+    fast paths; [Standard] is the face the detector registry and
+    {!Event_log.feed} program against. *)

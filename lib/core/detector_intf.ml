@@ -1,7 +1,7 @@
 (** The common shape of every race detector in the repo.
 
-    [S] is the contract the harness ({!Drd_harness.Pipeline}) and the
-    differential arena ([Drd_arena]) program against: one constructor,
+    [S] is the contract the harness ({!Drd_harness.Pipeline}) and
+    log replay ({!Event_log.feed}) program against: one constructor,
     one scalar access entry point, the synchronization hooks the VM can
     emit, and report extraction.  {!Detector.Standard} packages the
     paper detector this way; the baselines in [Drd_baselines] satisfy
@@ -31,7 +31,7 @@ module type S = sig
 
   val create : unit -> t
 
-  val on_access_interned :
+  val on_access :
     t ->
     loc:Event.loc_id ->
     thread:Event.thread_id ->
@@ -39,7 +39,7 @@ module type S = sig
     kind:Event.kind ->
     site:Event.site_id ->
     unit
-  (** The primary entry point: one access event as five scalars. *)
+  (** The one access entry point: one access event as five scalars. *)
 
   val on_call :
     t ->
@@ -74,8 +74,6 @@ module type S = sig
   val racy_locs : t -> Event.loc_id list
   (** Distinct racy locations, first report per location, in detection
       order. *)
-
-  val race_count : t -> int
 
   val events_seen : t -> int
 end

@@ -35,15 +35,21 @@ let iter f t =
 
 let entries t = Array.to_list (Array.sub t.arr 0 t.n)
 
-let replay t det =
-  iter
-    (function
-      | Access e -> Detector.on_access det e
-      | Acquire (thread, lock) -> Detector.on_acquire det ~thread ~lock
-      | Release (thread, lock) -> Detector.on_release det ~thread ~lock
-      | Thread_start _ | Thread_join _ -> ()
-      | Thread_exit thread -> Detector.on_thread_exit det ~thread)
-    t
+(* The one place a log entry becomes detector calls: post-mortem
+   replay, the serve daemon and the baselines' replay all feed through
+   here. *)
+let feed (type d) (module D : Detector_intf.S with type t = d) (d : d) =
+  function
+  | Access e ->
+      D.on_access d ~loc:e.Event.loc ~thread:e.Event.thread ~locks:e.Event.locks
+        ~kind:e.Event.kind ~site:e.Event.site
+  | Acquire (thread, lock) -> D.on_acquire d ~thread ~lock
+  | Release (thread, lock) -> D.on_release d ~thread ~lock
+  | Thread_start (parent, child) -> D.on_thread_start d ~parent ~child
+  | Thread_join (joiner, joinee) -> D.on_thread_join d ~joiner ~joinee
+  | Thread_exit thread -> D.on_thread_exit d ~thread
+
+let replay t det = iter (feed (module Detector.Standard) det) t
 
 (* Text serialization: one entry per line.
      A <loc> <thread> <R|W> <site> <lock>*      access

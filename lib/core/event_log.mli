@@ -32,9 +32,12 @@ val entries : t -> entry list
 val iter : (entry -> unit) -> t -> unit
 (** Iterate in recording order without materializing a list. *)
 
+val feed : (module Detector_intf.S with type t = 'd) -> 'd -> entry -> unit
+(** Feed one entry to a detector: the matching hook of its module. *)
+
 val replay : t -> Detector.t -> unit
-(** Feed the log through a detector, reproducing exactly the online
-    behaviour (modulo the detector's own configuration). *)
+(** Feed the log through the paper detector, reproducing exactly the
+    online behaviour (modulo the detector's own configuration). *)
 
 val to_channel : out_channel -> t -> unit
 (** Serialize in a line-oriented text format. *)

@@ -8,9 +8,7 @@ type t = { tbl : (Event.loc_id, state) Hashtbl.t }
 
 let create () = { tbl = Hashtbl.create 1024 }
 
-let reset t = Hashtbl.clear t.tbl
-
-(* Scalar entry point for the hot path; [find] + [Not_found] avoids the
+(* The one entry point, on scalars; [find] + [Not_found] avoids the
    [Some] allocation of [find_opt] on every access. *)
 let record t ~thread ~loc ~(kind : Event.kind) =
   match Hashtbl.find t.tbl loc with
@@ -23,9 +21,6 @@ let record t ~thread ~loc ~(kind : Event.kind) =
   | Shared false ->
       if kind = Event.Write then Hashtbl.replace t.tbl loc (Shared true)
   | exception Not_found -> Hashtbl.replace t.tbl loc (Local thread)
-
-let on_access t (e : Event.t) =
-  record t ~thread:e.thread ~loc:e.loc ~kind:e.kind
 
 let classify t loc =
   match Hashtbl.find_opt t.tbl loc with

@@ -20,15 +20,9 @@ type t
 
 val create : unit -> t
 
-val reset : t -> unit
-(** Forget every classification in place, keeping table capacity. *)
-
-val on_access : t -> Event.t -> unit
-
 val record :
   t -> thread:Event.thread_id -> loc:Event.loc_id -> kind:Event.kind -> unit
-(** Scalar equivalent of {!on_access}, for event sources that have not
-    materialized an {!Event.t}; allocation-free. *)
+(** Classify one access; allocation-free once the location is known. *)
 
 val classify : t -> Event.loc_id -> cls option
 (** [None] if the location was never accessed. *)

@@ -16,10 +16,6 @@ type t = {
 
 let create () = { held = Hashtbl.create 16; edges = Hashtbl.create 64 }
 
-let reset t =
-  Hashtbl.clear t.held;
-  Hashtbl.clear t.edges
-
 let stack_of t thread =
   match Hashtbl.find t.held thread with
   | held -> held

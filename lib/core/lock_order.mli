@@ -20,10 +20,6 @@ type t
 
 val create : unit -> t
 
-val reset : t -> unit
-(** Drop all held-lock stacks and recorded edges in place, keeping
-    table capacity. *)
-
 val on_acquire : t -> thread:Event.thread_id -> lock:Event.lock_id -> unit
 (** Outermost acquisition (same contract as {!Detector.on_acquire});
     held locksets are tracked internally. *)

@@ -133,11 +133,6 @@ type result = {
   trie_nodes : int;
   locations_tracked : int;
   heap : Heap.t; (* final heap, for decoding identities in reports *)
-  deadlocks : Lock_order.report list;
-      (* potential deadlocks from the lock-order graph (Section 10
-         future work); tracked alongside our detector *)
-  immutability : Immutability.summary option;
-      (* dynamic immutability classification (Section 10 future work) *)
   spec_events : int;
       (* events that arrived through specialized trace ops (0 unless the
          [`Spec] engine ran an image with specialized sites) *)
@@ -163,17 +158,16 @@ let vm_config_of (config : Config.t) =
     policy = config.Config.policy;
   }
 
-(* The event sink that drives any Detector_intf.S module: every VM
-   callback routed to the matching hook (unused hooks are no-ops by the
-   interface contract), virtual-call receiver events only when the
-   detector asks for them.  [wrap_access] lets the caller interpose on
-   the access path (event counting, site stats). *)
+(* The event sink that drives a baseline's Detector_intf.S module: every
+   VM callback routed to the matching hook (unused hooks are no-ops by
+   the interface contract), virtual-call receiver events only when the
+   detector asks for them.  [count] interposes on the access path. *)
 let sink_of_module (type a) (module D : Detector_intf.S with type t = a)
-    (d : a) ~wrap_access =
+    (d : a) ~count =
   {
     Sink.access =
-      wrap_access (fun ~tid ~loc ~kind ~locks ~site ->
-          D.on_access_interned d ~loc ~thread:tid ~locks ~kind ~site);
+      count (fun ~tid ~loc ~kind ~locks ~site ->
+          D.on_access d ~loc ~thread:tid ~locks ~kind ~site);
     acquire = (fun ~tid ~lock -> D.on_acquire d ~thread:tid ~lock);
     release = (fun ~tid ~lock -> D.on_release d ~thread:tid ~lock);
     thread_start = (fun ~parent ~child -> D.on_thread_start d ~parent ~child);
@@ -227,8 +221,8 @@ type pooled_detector =
 let pool_detector (module D : Detector_intf.S) = Pooled ((module D), D.create ())
 
 (* A pooled, resettable run context: everything {!run} would otherwise
-   allocate per run — VM state, detector, collector, side analyses,
-   spec-handler memo tables — created once per (worker, compiled) pair
+   allocate per run — VM state, detector, collector, spec-handler memo
+   tables — created once per (worker, compiled) pair
    and reset at the start of every run that uses it.  Reports from a
    reused context are byte-identical to fresh-context runs; the tests,
    the CI diff step and the explore bench all assert this. *)
@@ -237,8 +231,6 @@ module Run_ctx = struct
     rc_compiled : compiled;
     rc_vm : Interp.ctx;
     rc_collector : Report.collector;
-    rc_lock_order : Lock_order.t;
-    rc_immut : Immutability.t;
     rc_det : Detector.t option; (* Config.Ours only *)
     rc_baseline : pooled_detector option; (* baseline configs only *)
     rc_spec : spec_state option; (* images with specialized cells only *)
@@ -272,8 +264,6 @@ module Run_ctx = struct
       rc_compiled = c;
       rc_vm = Interp.create_ctx c.image;
       rc_collector = collector;
-      rc_lock_order = Lock_order.create ();
-      rc_immut = Immutability.create ();
       rc_det = det;
       rc_baseline = baseline;
       rc_spec =
@@ -313,16 +303,13 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
      the state this run will actually write is reset — a [detect:false]
      (fingerprint-only) pass on a shared context must not pay for, or
      disturb, the detector state a detecting run left behind. *)
-  let collector, lock_order, immut =
+  let collector =
     match ctx with
     | Some x ->
-        if detect && config.Config.detector = Config.Ours then begin
+        if detect && config.Config.detector = Config.Ours then
           Report.reset x.Run_ctx.rc_collector;
-          Lock_order.reset x.Run_ctx.rc_lock_order;
-          Immutability.reset x.Run_ctx.rc_immut
-        end;
-        (x.Run_ctx.rc_collector, x.Run_ctx.rc_lock_order, x.Run_ctx.rc_immut)
-    | None -> (Report.collector (), Lock_order.create (), Immutability.create ())
+        x.Run_ctx.rc_collector
+    | None -> Report.collector ()
   in
   let finishers = ref [] in
   let sink =
@@ -354,15 +341,22 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
         in
         finishers :=
           [ (fun () -> `Ours (Detector.stats det)) ];
+        (* Scalar calls: no Event.t allocated for events the cache or
+           the ownership filter drops. *)
+        let generic_event ~tid ~loc ~kind ~locks ~site =
+          ignore
+            (Detector.on_access det ~loc ~thread:tid ~locks ~kind ~site
+              : Detector.outcome)
+        in
         (* The specialized fast paths.  Installed only under the [`Spec]
            engine when the link phase assigned cells; every path either
            performs exactly the generic per-event work or drops an event
            the soundness argument (Specialize, DESIGN §8) proves the
            detector would not have turned into a new report.  Contract
-           outputs (races, deadlocks, event counts, logs, fingerprints)
-           are byte-identical to the generic engines; only
-           detector-internal statistics (events_in, filter counters,
-           trie sizes) and the immutability summary may differ. *)
+           outputs (races, event counts, logs, fingerprints, anything a
+           [?tap] computes) are byte-identical to the generic engines;
+           only detector-internal statistics (events_in, filter
+           counters, trie sizes) may differ. *)
         let spec_handler =
           match (engine, c.image.Link.i_spec) with
           | `Spec, Some sp ->
@@ -408,20 +402,13 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                  a managed cell (Specialize's component closure), so
                  the map always witnesses the demoting event. *)
               let own_map = ss.ss_own_map in
-              let generic_event ~tid ~loc ~kind ~locks ~site =
-                Immutability.record immut ~thread:tid ~loc ~kind;
-                Detector.on_access_interned det ~loc ~thread:tid ~locks ~kind
-                  ~site
-              in
               (* Forward to the detector; memoize the key iff the event
                  reached trie storage (trie nodes are never evicted, so
                  a reached key stays droppable forever).  An unpackable
                  key just stays on the exact generic path. *)
               let forward_memo key ~tid ~loc ~kind ~locks ~site =
-                Immutability.record immut ~thread:tid ~loc ~kind;
                 match
-                  Detector.on_access_outcome det ~loc ~thread:tid ~locks
-                    ~kind ~site
+                  Detector.on_access det ~loc ~thread:tid ~locks ~kind ~site
                 with
                 | Detector.Reached ->
                     if key >= 0 then memo.(memo_idx key) <- key
@@ -516,10 +503,9 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                     (* First event for this location anywhere: record
                        the owner only if the detector's ownership filter
                        itself absorbed it. *)
-                    Immutability.record immut ~thread:tid ~loc ~kind;
                     (match
-                       Detector.on_access_outcome det ~loc ~thread:tid ~locks
-                         ~kind ~site
+                       Detector.on_access det ~loc ~thread:tid ~locks ~kind
+                         ~site
                      with
                     | Detector.Owned_skip ->
                         Hashtbl.replace own_map loc tid;
@@ -563,22 +549,10 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
         in
         {
           Sink.null with
-          Sink.access =
-            (* Scalar calls: no Event.t allocated for events the cache
-               or the ownership filter drops. *)
-            count (fun ~tid ~loc ~kind ~locks ~site ->
-                Immutability.record immut ~thread:tid ~loc ~kind;
-                Detector.on_access_interned det ~loc ~thread:tid ~locks ~kind
-                  ~site);
+          Sink.access = count generic_event;
           spec = spec_handler;
-          acquire =
-            (fun ~tid ~lock ->
-              Lock_order.on_acquire lock_order ~thread:tid ~lock;
-              Detector.on_acquire det ~thread:tid ~lock);
-          release =
-            (fun ~tid ~lock ->
-              Lock_order.on_release lock_order ~thread:tid ~lock;
-              Detector.on_release det ~thread:tid ~lock);
+          acquire = (fun ~tid ~lock -> Detector.on_acquire det ~thread:tid ~lock);
+          release = (fun ~tid ~lock -> Detector.on_release det ~thread:tid ~lock);
           thread_exit = (fun ~tid -> Detector.on_thread_exit det ~thread:tid);
         }
     | (Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv -> (
@@ -600,7 +574,7 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
         | Pooled ((module D), d) ->
             D.reset d;
             finishers := [ (fun () -> `Locs (D.racy_locs d)) ];
-            sink_of_module (module D) d ~wrap_access:count)
+            sink_of_module (module D) d ~count)
   in
   let vm_config =
     match vm with Some v -> v | None -> vm_config_of config
@@ -654,14 +628,6 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
       | Some s -> s.Detector.locations_tracked
       | None -> 0);
     heap;
-    deadlocks =
-      (match config.Config.detector with
-      | Config.Ours when detect -> Lock_order.potential_deadlocks lock_order
-      | _ -> []);
-    immutability =
-      (match config.Config.detector with
-      | Config.Ours when detect -> Some (Immutability.summary immut)
-      | _ -> None);
     spec_events = !spec_events;
     site_stats =
       (match (site_ev, site_fast) with
@@ -772,78 +738,14 @@ let detect_post_mortem (config : Config.t) (log : Event_log.t) :
   Event_log.replay log det;
   (collector, Detector.stats det)
 
-(* ---- uniform Detector_intf.S driving (registry / arena) ---- *)
-
-type module_run = {
-  m_races : string list; (* decoded racy location names, sorted *)
-  m_race_count : int;
-  m_events : int;
-  m_steps : int;
-}
-
-(* Run a compiled program with any detector module behind
-   Detector_intf.S — the one code path the differential arena uses for
-   every technique, paper detector included.  The compile-time
-   configuration (granularity, pseudo-locks, schedule) still comes from
-   [c.config] / [?vm]; the module only decides what to do with the
-   event stream. *)
-let run_module ?vm ?(engine = (`Spec : engine))
-    (module D : Detector_intf.S) (c : compiled) : module_run =
-  let d = D.create () in
-  let events = ref 0 in
-  let sink =
-    sink_of_module
-      (module D)
-      d
-      ~wrap_access:(fun f ~tid ~loc ~kind ~locks ~site ->
-        incr events;
-        f ~tid ~loc ~kind ~locks ~site)
-  in
-  let vm_config = match vm with Some v -> v | None -> vm_config_of c.config in
-  let r =
-    match engine with
-    (* No spec handler is installed for module-driven runs, so [`Spec]
-       executes the image generically, exactly like [`Linked]. *)
-    | `Linked | `Spec -> Interp.run ~config:vm_config ~sink c.image
-    | `Ref -> Interp_ref.run ~config:vm_config ~sink c.prog
-  in
-  let describe = Memloc.describe c.prog.Ir.p_tprog r.Interp.r_heap in
-  {
-    m_races = D.racy_locs d |> List.map describe |> List.sort compare;
-    m_race_count = D.race_count d;
-    m_events = !events;
-    m_steps = r.Interp.r_steps;
-  }
-
 (* Post-mortem replay of a recorded log through any detector module:
    the generic sibling of {!detect_post_mortem} (which keeps the paper
-   detector's full stats).  [replay_pooled] is the reusable form: the
-   instance is reset up front, so one pooled detector serves any number
-   of replays. *)
-let replay_pooled (p : pooled_detector) (log : Event_log.t) :
+   detector's full stats). *)
+let replay_module (module D : Detector_intf.S) (log : Event_log.t) :
     Event.loc_id list * int =
-  match p with
-  | Pooled ((module D), d) ->
-  D.reset d;
-  Event_log.iter
-    (fun entry ->
-      match entry with
-      | Event_log.Access e ->
-          D.on_access_interned d ~loc:e.Event.loc ~thread:e.Event.thread
-            ~locks:e.Event.locks ~kind:e.Event.kind ~site:e.Event.site
-      | Event_log.Acquire (t, l) -> D.on_acquire d ~thread:t ~lock:l
-      | Event_log.Release (t, l) -> D.on_release d ~thread:t ~lock:l
-      | Event_log.Thread_start (p, ch) ->
-          D.on_thread_start d ~parent:p ~child:ch
-      | Event_log.Thread_join (j, je) ->
-          D.on_thread_join d ~joiner:j ~joinee:je
-      | Event_log.Thread_exit t -> D.on_thread_exit d ~thread:t)
-    log;
+  let d = D.create () in
+  Event_log.iter (Event_log.feed (module D) d) log;
   (D.racy_locs d, D.events_seen d)
-
-let replay_module (m : (module Detector_intf.S)) (log : Event_log.t) :
-    Event.loc_id list * int =
-  replay_pooled (pool_detector m) log
 
 let names_of (c : compiled) (r : result) : Names.t =
   let names = Names.create () in

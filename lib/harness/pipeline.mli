@@ -70,12 +70,6 @@ type result = {
   trie_nodes : int;
   locations_tracked : int;
   heap : Drd_vm.Heap.t;  (** Final heap, for decoding identities. *)
-  deadlocks : Lock_order.report list;
-      (** Potential deadlocks from the dynamic lock-order graph (the
-          paper's Section 10 future work), when running our detector. *)
-  immutability : Immutability.summary option;
-      (** Dynamic immutability classification of the traced locations
-          (Section 10 future work), when running our detector. *)
   spec_events : int;
       (** Events that arrived through specialized trace ops; 0 unless
           the [`Spec] engine ran an image with specialized sites. *)
@@ -88,22 +82,11 @@ val vm_config_of : Config.t -> Interp.config
 (** The VM configuration a harness configuration denotes (seed, quantum,
     granularity, pseudo-locks, scheduling policy). *)
 
-type pooled_detector =
-  | Pooled :
-      (module Detector_intf.S with type t = 'a) * 'a
-      -> pooled_detector
-      (** A detector instance packed with its module, so it can be reset
-          and reused across runs without re-allocating. *)
-
-val pool_detector : (module Detector_intf.S) -> pooled_detector
-(** Allocate one instance of a detector module for pooling. *)
-
 (** A resettable per-worker run context: every piece of mutable state a
     {!run} needs — the VM context (heap, thread/monitor tables, PCT
     priorities), the detector with its tries, caches and ownership
-    table, the report collector, lock-order graph, immutability tracker
-    and (when the image carries static facts) the specialized-trace
-    scratch — allocated once and reset in place at the start of each
+    table, the report collector and (when the image carries static
+    facts) the specialized-trace scratch — allocated once and reset in place at the start of each
     run.  A run with a context is byte-identical to one without; only
     the allocation behaviour differs.  Contexts are single-domain and
     bound to the [compiled] they were created from. *)
@@ -127,11 +110,16 @@ val run :
   ?site_stats:bool ->
   compiled ->
   result
-(** Execute the compiled program under its configuration's detector.
+(** Execute the compiled program under its configuration's detector:
+    the paper detector directly (for its statistics and the specialized
+    fast paths), a baseline through its {!Registry} module — the one way
+    to run a compiled program under a detector.
     [?vm] overrides the VM configuration (the exploration engine swaps
     seed/quantum/policy per run without recompiling); [?tap] receives a
     copy of every VM notification alongside the detector (schedule
-    fingerprinting, event counting).  [?detect:false] runs the {e same}
+    fingerprinting, event logs, and the Section 10 side analyses
+    {!Drd_vm.Sink.lock_order} and {!Drd_vm.Sink.immutability}).  A tap
+    without a [spec] handler sees the same stream on every engine.  [?detect:false] runs the {e same}
     instrumented program — so the schedule is bit-identical — but skips
     all detector work, leaving only event counting and the tap; the
     exploration engine uses it for fingerprint-only passes when replay
@@ -172,58 +160,8 @@ val detect_post_mortem :
     recorded log.  Produces exactly the online reports for the same
     configuration. *)
 
-val sink_of_module :
-  (module Detector_intf.S with type t = 'a) ->
-  'a ->
-  wrap_access:
-    ((tid:Event.thread_id ->
-     loc:Event.loc_id ->
-     kind:Event.kind ->
-     locks:Lockset_id.id ->
-     site:Event.site_id ->
-     unit) ->
-    tid:Event.thread_id ->
-    loc:Event.loc_id ->
-    kind:Event.kind ->
-    locks:Lockset_id.id ->
-    site:Event.site_id ->
-    unit) ->
-  Drd_vm.Sink.t
-(** The event sink driving one {!Detector_intf.S} instance: every VM
-    callback routed to the matching hook, virtual-call receiver events
-    only when the detector asks for them ([needs_call_events]).
-    [wrap_access] interposes on the access path (event counting). *)
-
-type module_run = {
-  m_races : string list;
-      (** Decoded racy location names, sorted (one per location). *)
-  m_race_count : int;
-  m_events : int;  (** Access events emitted by the program. *)
-  m_steps : int;  (** Instructions executed. *)
-}
-
-val run_module :
-  ?vm:Interp.config ->
-  ?engine:engine ->
-  (module Detector_intf.S) ->
-  compiled ->
-  module_run
-(** Execute a compiled program with {e any} detector behind
-    {!Detector_intf.S} — the one code path the differential arena uses
-    for every technique, the paper detector
-    ({!Detector.Standard}) included.  Granularity, pseudo-locks and the
-    schedule still come from [compiled.config] (override with [?vm]);
-    the module only consumes the event stream.  Module-driven runs
-    install no specialized-trace handler, so [`Spec] behaves exactly
-    like [`Linked]. *)
-
 val replay_module :
   (module Detector_intf.S) -> Event_log.t -> Event.loc_id list * int
 (** Post-mortem replay of a recorded log through any detector module:
     [(racy locations, events seen)].  The generic sibling of
-    {!detect_post_mortem}.  Equivalent to
-    [replay_pooled (pool_detector m) log]. *)
-
-val replay_pooled : pooled_detector -> Event_log.t -> Event.loc_id list * int
-(** Like {!replay_module}, but through a pooled instance that is reset
-    before the replay — one allocation serves any number of logs. *)
+    {!detect_post_mortem}. *)

@@ -103,15 +103,7 @@ let feed_events t st line =
   | Ok None -> Ok []
   | Ok (Some entry) ->
       st.fed <- st.fed + 1;
-      (match entry with
-      | Event_log.Access e -> Detector.on_access st.detector e
-      | Event_log.Acquire (thread, lock) ->
-          Detector.on_acquire st.detector ~thread ~lock
-      | Event_log.Release (thread, lock) ->
-          Detector.on_release st.detector ~thread ~lock
-      | Event_log.Thread_start _ | Event_log.Thread_join _ -> ()
-      | Event_log.Thread_exit thread ->
-          Detector.on_thread_exit st.detector ~thread);
+      Event_log.feed (module Detector.Standard) st.detector entry;
       Ok (fresh_race_frames t st)
 
 let feed_obs st line =

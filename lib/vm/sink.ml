@@ -114,3 +114,22 @@ let tee a b =
               | Some f -> f ~cell ~tid ~loc ~kind ~locks ~site
               | None -> b.access ~tid ~loc ~kind ~locks ~site));
   }
+
+(* The Section 10 side analyses as plain taps.  Neither installs a
+   [spec] handler, so under {!tee} each sees every event on every
+   engine: the specialized fast paths drop only events that are
+   redundant for the race detector, not for these analyses. *)
+let lock_order lo =
+  {
+    null with
+    acquire = (fun ~tid ~lock -> Lock_order.on_acquire lo ~thread:tid ~lock);
+    release = (fun ~tid ~lock -> Lock_order.on_release lo ~thread:tid ~lock);
+  }
+
+let immutability im =
+  {
+    null with
+    access =
+      (fun ~tid ~loc ~kind ~locks:_ ~site:_ ->
+        Immutability.record im ~thread:tid ~loc ~kind);
+  }

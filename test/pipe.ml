@@ -45,8 +45,7 @@ let run ?(seed = 42) ?(quantum = 20) ?(instrument = true) ?(peel = false)
       Sink.null with
       Sink.access =
         (fun ~tid ~loc ~kind ~locks ~site ->
-          Detector.on_access det
-            (Event.make_interned ~loc ~thread:tid ~locks ~kind ~site));
+          ignore (Detector.on_access det ~loc ~thread:tid ~locks ~kind ~site));
       acquire = (fun ~tid ~lock -> Detector.on_acquire det ~thread:tid ~lock);
       release = (fun ~tid ~lock -> Detector.on_release det ~thread:tid ~lock);
       thread_exit = (fun ~tid -> Detector.on_thread_exit det ~thread:tid);
@@ -89,7 +88,7 @@ let run_baseline ?(seed = 42) ?(quantum = 20) baseline source =
     {
       Sink.access =
         (fun ~tid ~loc ~kind ~locks ~site ->
-          D.on_access_interned d ~loc ~thread:tid ~locks ~kind ~site);
+          D.on_access d ~loc ~thread:tid ~locks ~kind ~site);
       acquire = (fun ~tid ~lock -> D.on_acquire d ~thread:tid ~lock);
       release = (fun ~tid ~lock -> D.on_release d ~thread:tid ~lock);
       thread_start =

@@ -14,7 +14,7 @@ open Drd_core
    wrappers are gone. *)
 let access (type a) (module D : Detector_intf.S with type t = a) (d : a)
     ?(loc = 0) ?(thread = 0) ?(locks = []) ?(kind = Event.Read) () =
-  D.on_access_interned d ~loc ~thread ~locks:(Lockset_id.of_list locks) ~kind
+  D.on_access d ~loc ~thread ~locks:(Lockset_id.of_list locks) ~kind
     ~site:0
 
 (* ---- Eraser unit tests ---- *)

@@ -235,8 +235,10 @@ let run_schedule config sched =
           let locks =
             List.filter (fun l -> count_of t l > 0) [ 100; 101; 102 ]
           in
-          Detector.on_access d
-            (make ~loc ~thread:t ~locks:(Lockset.of_list locks) ~kind ~site:0))
+          ignore
+            (Detector.on_access d ~loc ~thread:t
+               ~locks:(Lockset_id.of_list locks)
+               ~kind ~site:0))
     sched;
   List.sort compare (Report.racy_locs coll)
 

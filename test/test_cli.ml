@@ -126,6 +126,11 @@ let test_compile_error_is_exit_124 () =
       Alcotest.(check string) "run: stdout clean" "" out;
       Alcotest.(check bool) "run: diagnostic names the parse error" true
         (contains err "parse error");
+      let code, out, err = run [ "analyze"; src ] in
+      Alcotest.(check int) "analyze: exit 124" 124 code;
+      Alcotest.(check string) "analyze: stdout clean" "" out;
+      Alcotest.(check bool) "analyze: diagnostic names the parse error" true
+        (contains err "parse error");
       let code, out, err =
         run [ "explore"; src; "-n"; "8"; "-w"; "2"; "--json" ]
       in
@@ -176,6 +181,28 @@ let test_run_detector_flag () =
   Alcotest.(check int) "alias exit 0" 0 code;
   Alcotest.(check bool) "hb alias selects HappensBefore" true
     (contains out_alias "Dataraces reported by HappensBefore")
+
+(* The side analyses are taps, which see every event on every engine:
+   the immutability summary must not depend on the specialized fast
+   paths (they drop only events redundant for the race detector). *)
+let test_run_immutability_engine_independent () =
+  List.iter
+    (fun b ->
+      let line engine =
+        let code, out, _ = run [ "run"; "-b"; b; "-v"; "--engine"; engine ] in
+        Alcotest.(check int) (b ^ " " ^ engine ^ " exit 0") 0 code;
+        match
+          List.find_opt
+            (fun l -> contains l "immutability:")
+            (String.split_on_char '\n' out)
+        with
+        | Some l -> l
+        | None -> Alcotest.failf "%s %s: no immutability line" b engine
+      in
+      let reference = line "ref" in
+      Alcotest.(check string) (b ^ " linked") reference (line "linked");
+      Alcotest.(check string) (b ^ " specialized") reference (line "specialized"))
+    [ "tsp"; "elevator"; "mtrt" ]
 
 let test_arena_json_deterministic () =
   let args = [ "arena"; "-n"; "12"; "--seed"; "7"; "--json" ] in
@@ -237,4 +264,6 @@ let suite =
       (fun () -> test_run_detector_flag ());
     Alcotest.test_case "arena --json is byte-deterministic" `Quick (fun () ->
         test_arena_json_deterministic ());
+    Alcotest.test_case "run -v immutability is engine-independent" `Quick
+      test_run_immutability_engine_independent;
   ]

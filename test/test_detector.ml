@@ -8,15 +8,20 @@ open Event
 let mk ?(locks = []) ~loc ~thread ~kind ~site () =
   make ~loc ~thread ~locks:(Lockset.of_list locks) ~kind ~site
 
+let access d (e : Event.t) =
+  ignore
+    (Detector.on_access d ~loc:e.loc ~thread:e.thread ~locks:e.locks
+       ~kind:e.kind ~site:e.site)
+
 let test_stats_pipeline () =
   let coll = Report.collector () in
   let d = Detector.create ~config:Detector.default_config coll in
   (* T0 initializes, T1 reads twice (second read cache-filtered), then T0
      writes again: exactly one race on one location. *)
-  Detector.on_access d (mk ~loc:1 ~thread:0 ~kind:Write ~site:1 ());
-  Detector.on_access d (mk ~loc:1 ~thread:1 ~kind:Read ~site:2 ());
-  Detector.on_access d (mk ~loc:1 ~thread:1 ~kind:Read ~site:2 ());
-  Detector.on_access d (mk ~loc:1 ~thread:0 ~kind:Write ~site:3 ());
+  access d (mk ~loc:1 ~thread:0 ~kind:Write ~site:1 ());
+  access d (mk ~loc:1 ~thread:1 ~kind:Read ~site:2 ());
+  access d (mk ~loc:1 ~thread:1 ~kind:Read ~site:2 ());
+  access d (mk ~loc:1 ~thread:0 ~kind:Write ~site:3 ());
   let s = Detector.stats d in
   Alcotest.(check int) "events in" 4 s.Detector.events_in;
   Alcotest.(check int) "cache hits" 1 s.Detector.cache_hits;
@@ -33,12 +38,12 @@ let test_report_dedup_per_location () =
   in
   (* Many racing accesses on the same location: one report. *)
   for i = 1 to 10 do
-    Detector.on_access d (mk ~loc:1 ~thread:(i mod 2) ~kind:Write ~site:i ())
+    access d (mk ~loc:1 ~thread:(i mod 2) ~kind:Write ~site:i ())
   done;
   Alcotest.(check int) "one location reported" 1 (Report.count coll);
   (* A second racy location gets its own report. *)
-  Detector.on_access d (mk ~loc:2 ~thread:0 ~kind:Write ~site:90 ());
-  Detector.on_access d (mk ~loc:2 ~thread:1 ~kind:Write ~site:91 ());
+  access d (mk ~loc:2 ~thread:0 ~kind:Write ~site:90 ());
+  access d (mk ~loc:2 ~thread:1 ~kind:Write ~site:91 ());
   Alcotest.(check int) "two locations reported" 2 (Report.count coll);
   Alcotest.(check (list int)) "racy locations in order" [ 1; 2 ]
     (Report.racy_locs coll)
@@ -50,8 +55,8 @@ let test_report_contents () =
       ~config:{ Detector.default_config with use_ownership = false; use_cache = false }
       coll
   in
-  Detector.on_access d (mk ~loc:3 ~thread:1 ~locks:[ 8 ] ~kind:Write ~site:41 ());
-  Detector.on_access d (mk ~loc:3 ~thread:2 ~locks:[ 9 ] ~kind:Read ~site:42 ());
+  access d (mk ~loc:3 ~thread:1 ~locks:[ 8 ] ~kind:Write ~site:41 ());
+  access d (mk ~loc:3 ~thread:2 ~locks:[ 9 ] ~kind:Read ~site:42 ());
   match Report.races coll with
   | [ r ] ->
       Alcotest.(check int) "location" 3 r.Report.loc;
@@ -73,9 +78,9 @@ let test_prior_thread_bot_when_merged () =
       ~config:{ Detector.default_config with use_ownership = false; use_cache = false }
       coll
   in
-  Detector.on_access d (mk ~loc:3 ~thread:1 ~locks:[ 8 ] ~kind:Write ~site:1 ());
-  Detector.on_access d (mk ~loc:3 ~thread:2 ~locks:[ 8 ] ~kind:Write ~site:2 ());
-  Detector.on_access d (mk ~loc:3 ~thread:3 ~locks:[ 9 ] ~kind:Write ~site:3 ());
+  access d (mk ~loc:3 ~thread:1 ~locks:[ 8 ] ~kind:Write ~site:1 ());
+  access d (mk ~loc:3 ~thread:2 ~locks:[ 8 ] ~kind:Write ~site:2 ());
+  access d (mk ~loc:3 ~thread:3 ~locks:[ 9 ] ~kind:Write ~site:3 ());
   match Report.races coll with
   | [ r ] ->
       Alcotest.(check bool) "prior thread is t_bot" true
@@ -95,8 +100,8 @@ let test_pp_smoke () =
       ~config:{ Detector.default_config with use_ownership = false; use_cache = false }
       coll
   in
-  Detector.on_access d (mk ~loc:3 ~thread:1 ~locks:[ 8 ] ~kind:Write ~site:41 ());
-  Detector.on_access d (mk ~loc:3 ~thread:2 ~locks:[ 9 ] ~kind:Read ~site:42 ());
+  access d (mk ~loc:3 ~thread:1 ~locks:[ 8 ] ~kind:Write ~site:41 ());
+  access d (mk ~loc:3 ~thread:2 ~locks:[ 9 ] ~kind:Read ~site:42 ());
   let out = Fmt.str "%a" (Report.pp names) coll in
   Alcotest.(check bool) "mentions location name" true
     (Astring_contains.contains out "Task#1.thread_");
@@ -108,11 +113,11 @@ let test_pp_smoke () =
 let test_thread_exit_drops_cache () =
   let coll = Report.collector () in
   let d = Detector.create ~config:Detector.default_config coll in
-  Detector.on_access d (mk ~loc:1 ~thread:5 ~kind:Read ~site:1 ());
+  access d (mk ~loc:1 ~thread:5 ~kind:Read ~site:1 ());
   Detector.on_thread_exit d ~thread:5;
   (* Re-accessing after exit must not hit a stale cache (a new cache is
      created transparently). *)
-  Detector.on_access d (mk ~loc:1 ~thread:5 ~kind:Read ~site:1 ());
+  access d (mk ~loc:1 ~thread:5 ~kind:Read ~site:1 ());
   let s = Detector.stats d in
   Alcotest.(check int) "no cache hit across exit" 0 s.Detector.cache_hits
 
@@ -133,17 +138,14 @@ let test_hot_path_zero_alloc () =
       coll
   in
   let locks = Lockset_id.of_list [ 7 ] in
-  Detector.on_access_interned d_cache ~loc:2 ~thread:1 ~locks ~kind:Read
-    ~site:3;
-  Detector.on_access_interned d_own ~loc:1 ~thread:0 ~locks ~kind:Write
-    ~site:1;
+  ignore (Detector.on_access d_cache ~loc:2 ~thread:1 ~locks ~kind:Read ~site:3);
+  ignore (Detector.on_access d_own ~loc:1 ~thread:0 ~locks ~kind:Write ~site:1);
   let n = 10_000 in
   let before = Gc.minor_words () in
   for _ = 1 to n do
-    Detector.on_access_interned d_cache ~loc:2 ~thread:1 ~locks ~kind:Read
-      ~site:3;
-    Detector.on_access_interned d_own ~loc:1 ~thread:0 ~locks ~kind:Write
-      ~site:1
+    ignore
+      (Detector.on_access d_cache ~loc:2 ~thread:1 ~locks ~kind:Read ~site:3);
+    ignore (Detector.on_access d_own ~loc:1 ~thread:0 ~locks ~kind:Write ~site:1)
   done;
   let words = Gc.minor_words () -. before in
   let sc = Detector.stats d_cache and so = Detector.stats d_own in

@@ -9,8 +9,8 @@ open Drd_core
 let interned locks = Lockset_id.of_list locks
 
 let access d ~loc ?(thread = 1) ?(kind = Event.Write) ?(locks = []) () =
-  Detector.on_access_interned d ~loc ~thread ~locks:(interned locks) ~kind
-    ~site:0
+  ignore
+    (Detector.on_access d ~loc ~thread ~locks:(interned locks) ~kind ~site:0)
 
 let make_evicting ?(high = 4) ?(low = 2) () =
   let coll = Report.collector () in
@@ -149,9 +149,10 @@ let replay ?eviction stream =
   List.iter
     (function
       | `Access (loc, thread, kind, locks) ->
-          Detector.on_access_interned d ~loc ~thread
-            ~locks:(Lockset_id.of_list locks)
-            ~kind ~site:0
+          ignore
+            (Detector.on_access d ~loc ~thread
+               ~locks:(Lockset_id.of_list locks)
+               ~kind ~site:0)
       | `Exit thread -> Detector.on_thread_exit d ~thread)
     stream;
   (d, coll)

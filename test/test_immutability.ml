@@ -6,24 +6,21 @@ module Immutability = Drd_core.Immutability
 module H = Drd_harness
 open Drd_core
 
-let ev ?(loc = 0) ?(thread = 0) ?(kind = Event.Read) () =
-  Event.make ~loc ~thread ~locks:Event.Lockset.empty ~kind ~site:0
-
 let test_state_machine () =
   let t = Immutability.create () in
   Alcotest.(check bool) "unknown" true (Immutability.classify t 0 = None);
   (* Owner initializes. *)
-  Immutability.on_access t (ev ~thread:1 ~kind:Event.Write ());
-  Immutability.on_access t (ev ~thread:1 ~kind:Event.Write ());
+  Immutability.record t ~loc:0 ~thread:1 ~kind:Event.Write;
+  Immutability.record t ~loc:0 ~thread:1 ~kind:Event.Write;
   Alcotest.(check bool) "local" true
     (Immutability.classify t 0 = Some Immutability.Thread_local);
   (* Published via reads only: immutable. *)
-  Immutability.on_access t (ev ~thread:2 ~kind:Event.Read ());
-  Immutability.on_access t (ev ~thread:1 ~kind:Event.Read ());
+  Immutability.record t ~loc:0 ~thread:2 ~kind:Event.Read;
+  Immutability.record t ~loc:0 ~thread:1 ~kind:Event.Read;
   Alcotest.(check bool) "shared-immutable" true
     (Immutability.classify t 0 = Some Immutability.Shared_immutable);
   (* Any later write degrades it. *)
-  Immutability.on_access t (ev ~thread:1 ~kind:Event.Write ());
+  Immutability.record t ~loc:0 ~thread:1 ~kind:Event.Write;
   Alcotest.(check bool) "shared-mutable" true
     (Immutability.classify t 0 = Some Immutability.Shared_mutable);
   Alcotest.(check (list int)) "mutable list" [ 0 ]
@@ -31,18 +28,18 @@ let test_state_machine () =
 
 let test_publication_write_is_mutable () =
   let t = Immutability.create () in
-  Immutability.on_access t (ev ~thread:1 ~kind:Event.Write ());
-  Immutability.on_access t (ev ~thread:2 ~kind:Event.Write ());
+  Immutability.record t ~loc:0 ~thread:1 ~kind:Event.Write;
+  Immutability.record t ~loc:0 ~thread:2 ~kind:Event.Write;
   Alcotest.(check bool) "write-publication is mutable" true
     (Immutability.classify t 0 = Some Immutability.Shared_mutable)
 
 let test_summary_counts () =
   let t = Immutability.create () in
-  Immutability.on_access t (ev ~loc:1 ~thread:1 ~kind:Event.Write ());
-  Immutability.on_access t (ev ~loc:2 ~thread:1 ~kind:Event.Write ());
-  Immutability.on_access t (ev ~loc:2 ~thread:2 ~kind:Event.Read ());
-  Immutability.on_access t (ev ~loc:3 ~thread:1 ~kind:Event.Write ());
-  Immutability.on_access t (ev ~loc:3 ~thread:2 ~kind:Event.Write ());
+  Immutability.record t ~loc:1 ~thread:1 ~kind:Event.Write;
+  Immutability.record t ~loc:2 ~thread:1 ~kind:Event.Write;
+  Immutability.record t ~loc:2 ~thread:2 ~kind:Event.Read;
+  Immutability.record t ~loc:3 ~thread:1 ~kind:Event.Write;
+  Immutability.record t ~loc:3 ~thread:2 ~kind:Event.Write;
   let s = Immutability.summary t in
   Alcotest.(check int) "local" 1 s.Immutability.thread_local;
   Alcotest.(check int) "immutable" 1 s.Immutability.shared_immutable;
@@ -52,14 +49,15 @@ let test_end_to_end_on_benchmark () =
   (* hedc: the MetaSearchRequest.query fields are the textbook
      initialize-then-publish pattern; pool/task state is mutable. *)
   let b = Option.get (H.Programs.find "hedc") in
-  let _, r = H.Pipeline.run_source H.Config.full b.H.Programs.b_source in
-  match r.H.Pipeline.immutability with
-  | Some s ->
-      Alcotest.(check bool) "some shared-immutable locations" true
-        (s.Immutability.shared_immutable > 0);
-      Alcotest.(check bool) "some shared-mutable locations" true
-        (s.Immutability.shared_mutable > 0)
-  | None -> Alcotest.fail "expected a summary"
+  let t = Immutability.create () in
+  ignore
+    (H.Pipeline.run ~tap:(Drd_vm.Sink.immutability t)
+       (H.Pipeline.compile H.Config.full ~source:b.H.Programs.b_source));
+  let s = Immutability.summary t in
+  Alcotest.(check bool) "some shared-immutable locations" true
+    (s.Immutability.shared_immutable > 0);
+  Alcotest.(check bool) "some shared-mutable locations" true
+    (s.Immutability.shared_mutable > 0)
 
 let suite =
   [

@@ -81,6 +81,15 @@ let test_three_cycle () =
       Alcotest.(check (list int)) "three locks" [ 10; 20; 30 ] r.Lock_order.dl_locks
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
 
+(* The potential deadlocks of one Full run, from the lock-order tap. *)
+let deadlocks_of source =
+  let t = Lock_order.create () in
+  let r =
+    H.Pipeline.run ~tap:(Drd_vm.Sink.lock_order t)
+      (H.Pipeline.compile H.Config.full ~source)
+  in
+  (r, Lock_order.potential_deadlocks t)
+
 (* End-to-end: a program whose opposite lock orders are serialized by
    join, so the run cannot deadlock — the graph still exposes the
    hazard. *)
@@ -112,19 +121,17 @@ let test_program_hazard () =
     }
   |}
   in
-  let _, r = H.Pipeline.run_source H.Config.full src in
+  let r, deadlocks = deadlocks_of src in
   Alcotest.(check (list string)) "no datarace" [] r.H.Pipeline.races;
-  Alcotest.(check int) "one potential deadlock" 1
-    (List.length r.H.Pipeline.deadlocks)
+  Alcotest.(check int) "one potential deadlock" 1 (List.length deadlocks)
 
 let test_benchmarks_deadlock_free () =
   List.iter
     (fun (b : H.Programs.benchmark) ->
-      let _, r = H.Pipeline.run_source H.Config.full b.H.Programs.b_source in
+      let _, deadlocks = deadlocks_of b.H.Programs.b_source in
       Alcotest.(check int)
         (b.H.Programs.b_name ^ " has no lock-order cycles")
-        0
-        (List.length r.H.Pipeline.deadlocks))
+        0 (List.length deadlocks))
     H.Programs.benchmarks
 
 let suite =

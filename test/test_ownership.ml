@@ -5,6 +5,11 @@
 open Drd_core
 open Event
 
+let access d (e : Event.t) =
+  ignore
+    (Detector.on_access d ~loc:e.loc ~thread:e.thread ~locks:e.locks
+       ~kind:e.kind ~site:e.site)
+
 let test_state_machine () =
   let o = Ownership.create () in
   Alcotest.(check bool) "first access owned" true
@@ -33,11 +38,11 @@ let run_handoff ~use_ownership =
   in
   let locks = Lockset.empty in
   (* Parent (T0) initializes locations 1 and 2. *)
-  Detector.on_access d (make ~loc:1 ~thread:0 ~locks ~kind:Write ~site:1);
-  Detector.on_access d (make ~loc:2 ~thread:0 ~locks ~kind:Write ~site:2);
+  access d (make ~loc:1 ~thread:0 ~locks ~kind:Write ~site:1);
+  access d (make ~loc:2 ~thread:0 ~locks ~kind:Write ~site:2);
   (* Child (T1) processes them, unsynchronized but after start. *)
-  Detector.on_access d (make ~loc:1 ~thread:1 ~locks ~kind:Read ~site:3);
-  Detector.on_access d (make ~loc:2 ~thread:1 ~locks ~kind:Write ~site:4);
+  access d (make ~loc:1 ~thread:1 ~locks ~kind:Read ~site:3);
+  access d (make ~loc:2 ~thread:1 ~locks ~kind:Write ~site:4);
   Report.count coll
 
 let test_handoff_idiom () =
@@ -53,9 +58,9 @@ let test_true_race_survives_ownership () =
   let coll = Report.collector () in
   let d = Detector.create ~config:Detector.default_config coll in
   let locks = Lockset.empty in
-  Detector.on_access d (make ~loc:1 ~thread:0 ~locks ~kind:Write ~site:1);
-  Detector.on_access d (make ~loc:1 ~thread:1 ~locks ~kind:Read ~site:2);
-  Detector.on_access d (make ~loc:1 ~thread:0 ~locks ~kind:Write ~site:3);
+  access d (make ~loc:1 ~thread:0 ~locks ~kind:Write ~site:1);
+  access d (make ~loc:1 ~thread:1 ~locks ~kind:Read ~site:2);
+  access d (make ~loc:1 ~thread:0 ~locks ~kind:Write ~site:3);
   Alcotest.(check int) "race reported" 1 (Report.count coll)
 
 (* Join pseudo-locks: child writes under its dummy lock S_c (plus a real
@@ -72,12 +77,12 @@ let run_join ~with_join =
   Pseudo_lock.on_thread_start pl 0 1001;
   Pseudo_lock.on_thread_start pl 1 1002;
   (* Child T1 writes loc 5 with no real locks. *)
-  Detector.on_access d
+  access d
     (make_interned ~loc:5 ~thread:1 ~locks:(Pseudo_lock.locks_of pl 1)
        ~kind:Write ~site:1);
   if with_join then Pseudo_lock.on_join pl ~joiner:0 ~joinee:1;
   (* Parent reads loc 5 after the join. *)
-  Detector.on_access d
+  access d
     (make_interned ~loc:5 ~thread:0 ~locks:(Pseudo_lock.locks_of pl 0)
        ~kind:Read ~site:2);
   Report.count coll
@@ -102,7 +107,7 @@ let test_mtrt_join_idiom () =
   List.iter (fun tid -> Pseudo_lock.on_thread_start pl tid (1001 + tid)) [ 0; 1; 2 ];
   let sync = 500 in
   let child t =
-    Detector.on_access d
+    access d
       (make_interned ~loc:9 ~thread:t
          ~locks:(Lockset_id.add sync (Pseudo_lock.locks_of pl t))
          ~kind:Write ~site:t)
@@ -111,7 +116,7 @@ let test_mtrt_join_idiom () =
   child 2;
   Pseudo_lock.on_join pl ~joiner:0 ~joinee:1;
   Pseudo_lock.on_join pl ~joiner:0 ~joinee:2;
-  Detector.on_access d
+  access d
     (make_interned ~loc:9 ~thread:0 ~locks:(Pseudo_lock.locks_of pl 0)
        ~kind:Read ~site:0);
   Alcotest.(check int) "mutually intersecting locksets: no race" 0

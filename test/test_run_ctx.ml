@@ -16,8 +16,7 @@ let benchmark_source name =
   | None -> Alcotest.failf "%s benchmark missing" name
 
 (* Everything report-visible about one run, serialized: races and
-   objects, event/step/thread counts, prints, deadlocks, detector and
-   immutability statistics.  Two runs with equal summaries consumed the
+   objects, event/step/thread counts, prints and detector statistics.  Two runs with equal summaries consumed the
    same schedule and produced the same reports. *)
 let summarize (r : H.Pipeline.result) =
   let b = Buffer.create 256 in
@@ -33,22 +32,9 @@ let summarize (r : H.Pipeline.result) =
         | Some v -> Fmt.str "%a" Drd_vm.Value.pp v
         | None -> "()"))
     r.H.Pipeline.prints;
-  List.iter
-    (fun (d : Drd_core.Lock_order.report) ->
-      pr "deadlock:%s/%s\n"
-        (String.concat "," (List.map string_of_int d.Drd_core.Lock_order.dl_locks))
-        (String.concat ","
-           (List.map string_of_int d.Drd_core.Lock_order.dl_threads)))
-    r.H.Pipeline.deadlocks;
   (match r.H.Pipeline.detector_stats with
   | Some s -> pr "stats:%s\n" (Fmt.str "%a" Drd_core.Detector.pp_stats s)
   | None -> pr "stats:none\n");
-  (match r.H.Pipeline.immutability with
-  | Some s ->
-      pr "immut:%d/%d/%d\n" s.Drd_core.Immutability.thread_local
-        s.Drd_core.Immutability.shared_immutable
-        s.Drd_core.Immutability.shared_mutable
-  | None -> pr "immut:none\n");
   Buffer.contents b
 
 let vm_for seed =

@@ -2,8 +2,9 @@
    ([Interp]) and the frozen pre-link block interpreter ([Interp_ref])
    must be indistinguishable through every observable channel — full
    race reports, racy-object lists, event/step/thread counts, prints,
-   the complete recorded event log, the raw interleaving fingerprint and
-   the happens-before fingerprint — for every example program under
+   the complete recorded event log, the raw interleaving fingerprint,
+   the happens-before fingerprint and the side-analysis taps
+   (immutability summary, potential deadlocks) — for every example program under
    every scheduling family (sweep, jitter, pct).  A run that dies (e.g.
    needle's seed-dependent wait() deadlock) must die identically: same
    error string, same event-log prefix. *)
@@ -61,13 +62,22 @@ type obs = {
   o_log : Event_log.entry list;
   o_interleave_fp : int;
   o_hb_fp : int;
+  o_immut : string;
+  o_deadlocks : Lock_order.report list;
 }
 
 let observe ~engine compiled vm : obs =
   let log_sink, log = log_tap () in
   let fp_sink, fp = Explore.fingerprint_tap () in
   let hb_sink, hb = Hb_fingerprint.tap () in
-  let tap = Sink.tee log_sink (Sink.tee fp_sink hb_sink) in
+  let immut = Immutability.create () in
+  let locks = Lock_order.create () in
+  let tap =
+    Sink.tee log_sink
+      (Sink.tee fp_sink
+         (Sink.tee hb_sink
+            (Sink.tee (Sink.immutability immut) (Sink.lock_order locks))))
+  in
   let empty =
     {
       o_error = None;
@@ -80,10 +90,19 @@ let observe ~engine compiled vm : obs =
       o_log = [];
       o_interleave_fp = 0;
       o_hb_fp = 0;
+      o_immut = "";
+      o_deadlocks = [];
     }
   in
   let finish o =
-    { o with o_log = Event_log.entries log; o_interleave_fp = fp (); o_hb_fp = hb () }
+    {
+      o with
+      o_log = Event_log.entries log;
+      o_interleave_fp = fp ();
+      o_hb_fp = hb ();
+      o_immut = Fmt.str "%a" Immutability.pp_summary (Immutability.summary immut);
+      o_deadlocks = Lock_order.potential_deadlocks locks;
+    }
   in
   match Pipeline.run ~vm ~tap ~engine compiled with
   | r ->
@@ -137,7 +156,10 @@ let check_obs name (a : obs) (b : obs) =
   check_logs name a.o_log b.o_log;
   Alcotest.(check int)
     (name ^ " interleaving fp") a.o_interleave_fp b.o_interleave_fp;
-  Alcotest.(check int) (name ^ " hb fp") a.o_hb_fp b.o_hb_fp
+  Alcotest.(check int) (name ^ " hb fp") a.o_hb_fp b.o_hb_fp;
+  Alcotest.(check string) (name ^ " immutability") a.o_immut b.o_immut;
+  if a.o_deadlocks <> b.o_deadlocks then
+    Alcotest.failf "%s: potential deadlocks differ" name
 
 (* Every example program: the Table 1 benchmark ports plus the paper's
    Figure 2 example. *)
