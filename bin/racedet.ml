@@ -50,66 +50,78 @@ let data_error fmt =
 let or_compile_error f =
   try f () with H.Pipeline.Compile_error msg -> `Error (false, msg)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* ---- parsing at the boundary: every flag below is a typed value by
+   the time a subcommand runs, and every bad value is a cmdliner
+   error (exit 124) with a diagnostic on stderr ---- *)
 
-let load_source file benchmark =
-  match (file, benchmark) with
-  | Some f, None -> Ok (read_file f)
-  | None, Some "figure2" -> Ok (H.Programs.figure2 ())
-  | None, Some "figure2-samelock" -> Ok (H.Programs.figure2 ~same_pq:true ())
-  | None, Some b -> (
-      match H.Programs.find b with
-      | Some bench -> Ok bench.H.Programs.b_source
-      | None ->
-          Error
-            (Printf.sprintf "unknown benchmark %s (try: racedet list)" b))
-  | Some _, Some _ -> Error "give either FILE or --benchmark, not both"
-  | None, None -> Error "give a FILE or --benchmark NAME"
+(* An int flag with a lower bound: out-of-range values are misuse, not
+   an uncaught [Invalid_argument] deep in the VM or the arena. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "%d is below the minimum %d" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Fmt.int)
 
-(* What reproduction command lines name: the file, or the benchmark
-   flag that selects the same program. *)
-let target_of file benchmark =
-  match (file, benchmark) with
-  | Some f, _ -> f
-  | None, Some b -> "-b " ^ b
-  | None, None -> "..."
+(* A built-in program by name: the benchmarks plus the paper's two
+   Figure 2 examples. *)
+let benchmark_conv =
+  let parse = function
+    | "figure2" as b -> Ok (b, H.Programs.figure2 ())
+    | "figure2-samelock" as b -> Ok (b, H.Programs.figure2 ~same_pq:true ())
+    | b -> (
+        match H.Programs.find b with
+        | Some bench -> Ok (b, bench.H.Programs.b_source)
+        | None ->
+            Error (Printf.sprintf "unknown benchmark %s (try: racedet list)" b))
+  in
+  Arg.conv' (parse, fun ppf (name, _) -> Fmt.string ppf name)
 
-let config_of_name ?quantum ?pct ?(pct_horizon = 20_000) name seed =
-  match H.Config.by_name name with
-  | Some c ->
-      Ok
-        {
-          c with
-          H.Config.seed;
-          quantum = Option.value quantum ~default:c.H.Config.quantum;
-          policy =
-            (match pct with
-            | Some depth -> Drd_vm.Interp.Pct { depth; horizon = pct_horizon }
-            | None -> c.H.Config.policy);
-        }
-  | None -> Error (Printf.sprintf "unknown configuration %s" name)
+(* The program a subcommand runs: its source text, and what
+   reproduction command lines name — the file, or the benchmark flag
+   that selects the same program. *)
+type source = { text : string; target : string }
 
-(* ---- common arguments (one definition per flag; every subcommand
-   that takes a seed/strategy/… shares these) ---- *)
+let source_term =
+  let file =
+    Arg.(
+      value
+      & pos 0 (some non_dir_file) None
+      & info [] ~docv:"FILE" ~doc:"MiniJava source file.")
+  in
+  let benchmark =
+    Arg.(
+      value
+      & opt (some benchmark_conv) None
+      & info [ "b"; "benchmark" ] ~docv:"NAME"
+          ~doc:"Use a built-in benchmark instead of a file.")
+  in
+  let load file benchmark =
+    match (file, benchmark) with
+    | Some f, None -> (
+        match In_channel.with_open_bin f In_channel.input_all with
+        | text -> `Ok { text; target = f }
+        | exception Sys_error e -> `Error (false, e))
+    | None, Some (name, text) -> `Ok { text; target = "-b " ^ name }
+    | Some _, Some _ ->
+        `Error (false, "give either FILE or --benchmark, not both")
+    | None, None -> `Error (false, "give a FILE or --benchmark NAME")
+  in
+  Term.(ret (const load $ file $ benchmark))
 
-let file_arg =
-  Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"MiniJava source file.")
-
-let benchmark_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "b"; "benchmark" ] ~docv:"NAME"
-        ~doc:"Use a built-in benchmark instead of a file.")
+let config_conv =
+  let parse name =
+    match H.Config.by_name name with
+    | Some c -> Ok c
+    | None -> Error (Printf.sprintf "unknown configuration %s" name)
+  in
+  Arg.conv' (parse, fun ppf (c : H.Config.t) -> Fmt.string ppf c.H.Config.name)
 
 let config_arg =
   Arg.(
-    value & opt string "Full"
+    value & opt config_conv H.Config.full
     & info [ "c"; "config" ] ~docv:"CONFIG"
         ~doc:
           "Detector configuration (see $(b,racedet list)).  Selecting a \
@@ -126,12 +138,11 @@ let detector_conv : H.Registry.entry Arg.conv =
     | Some e -> Ok e
     | None ->
         Error
-          (`Msg
-             (Printf.sprintf "unknown detector %s (expected one of: %s)" s
-                (String.concat ", " (H.Registry.names ()))))
+          (Printf.sprintf "unknown detector %s (expected one of: %s)" s
+             (String.concat ", " (H.Registry.names ())))
   in
   let print ppf (e : H.Registry.entry) = Fmt.string ppf e.H.Registry.name in
-  Arg.conv (parse, print)
+  Arg.conv' (parse, print)
 
 let detector_doc =
   "Detection technique (see $(b,racedet list)): $(b,paper), $(b,eraser), \
@@ -149,20 +160,17 @@ let detector_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Scheduler seed.")
 
-let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print detector statistics.")
-
 let quantum_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 1)) None
     & info [ "quantum" ] ~docv:"N"
         ~doc:"Override the scheduler slice bound (instructions).")
 
 let pct_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 0)) None
     & info [ "pct" ] ~docv:"D"
         ~doc:
           "Schedule with PCT-style random thread priorities and $(docv) \
@@ -173,6 +181,31 @@ let pct_horizon_arg =
     value & opt int 20_000
     & info [ "pct-horizon" ] ~docv:"STEPS"
         ~doc:"Step horizon the PCT priority-change points are drawn from.")
+
+(* The configuration a subcommand runs under: [-c] plus whichever of
+   the scheduling and detector flags the subcommand takes (the others
+   stay at their defaults). *)
+let config_term ?(detector = Term.const None) ?(seed = Term.const 42)
+    ?(quantum = Term.const None) ?(pct = Term.const None)
+    ?(pct_horizon = Term.const 20_000) () =
+  let make (c : H.Config.t) detector seed quantum pct pct_horizon =
+    let c =
+      {
+        c with
+        H.Config.seed;
+        quantum = Option.value quantum ~default:c.H.Config.quantum;
+        policy =
+          (match pct with
+          | Some depth -> Drd_vm.Interp.Pct { depth; horizon = pct_horizon }
+          | None -> c.H.Config.policy);
+      }
+    in
+    match detector with None -> c | Some e -> H.Registry.apply e c
+  in
+  Term.(const make $ config_arg $ detector $ seed $ quantum $ pct $ pct_horizon)
+
+let verbose_arg =
+  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print detector statistics.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.")
@@ -217,9 +250,14 @@ let no_timing_arg =
           "Omit wall-clock, throughput and worker-count output so reports \
            are comparable across machines and with $(b,racedet merge).")
 
+let strategy_conv =
+  Arg.conv'
+    (E.Strategy.of_string, fun ppf s -> Fmt.string ppf (E.Strategy.name s))
+
 let strategy_arg =
   Arg.(
-    value & opt string "pct"
+    value
+    & opt strategy_conv (E.Strategy.Pct 3)
     & info [ "s"; "strategy" ] ~docv:"NAME"
         ~doc:
           "Exploration strategy: $(b,sweep) (sequential seeds), \
@@ -228,20 +266,20 @@ let strategy_arg =
 
 let depth_arg =
   Arg.(
-    value & opt int 3
+    value & opt (int_at_least 0) 3
     & info [ "d"; "depth" ] ~docv:"D"
         ~doc:"Priority-change points per run (pct strategy).")
 
 let workers_arg =
   Arg.(
-    value & opt int 1
+    value & opt (int_at_least 1) 1
     & info [ "w"; "workers" ] ~docv:"N"
         ~doc:"Parallel worker domains to fan runs out over.")
 
 let batch_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_at_least 1)) None
     & info [ "batch" ] ~docv:"N"
         ~doc:
           "Runs per work-queue claim (default: scaled to the budget and \
@@ -249,73 +287,26 @@ let batch_arg =
            size; the knob only trades hand-off overhead against \
            adaptive-budget overshoot.")
 
-let no_ctx_reuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-ctx-reuse" ]
-        ~doc:
-          "Allocate fresh detector and VM state for every run instead of \
-           resetting each worker's pooled run context in place.  The \
-           report is byte-identical either way; the flag exists to \
-           demonstrate (and CI-check) exactly that, at a throughput \
-           cost.")
-
 let runs_arg =
   Arg.(
-    value & opt int 64
+    value & opt (int_at_least 0) 64
     & info [ "n"; "runs" ] ~docv:"N" ~doc:"Run budget for the campaign.")
 
 (* ---- run: JSON rendering on the shared Wire.json value ---- *)
 
 let run_json compiled (r : H.Pipeline.result) ~deadlocks ~extra =
   let names = H.Pipeline.names_of compiled r in
+  (* The daemon's renderer with names, plus the Section 2.6 peers. *)
   let race_json (race : Drd_core.Report.race) =
-    let e = race.Drd_core.Report.current in
-    let p = race.Drd_core.Report.prior in
-    let lockset ls =
-      W.List
-        (List.map
-           (fun l -> W.String (Drd_core.Names.lock_name names l))
-           (Drd_core.Lockset_id.to_sorted_list ls))
+    let str f x = W.String (f names x) in
+    let peers =
+      H.Pipeline.static_peers_of_site compiled
+        race.Drd_core.Report.current.Drd_core.Event.site
     in
-    let kind = function
-      | Drd_core.Event.Read -> W.String "read"
-      | Drd_core.Event.Write -> W.String "write"
-    in
-    W.Obj
-      [
-        ( "location",
-          W.String (Drd_core.Names.loc_name names race.Drd_core.Report.loc) );
-        ( "current",
-          W.Obj
-            [
-              ("thread", W.Int e.Drd_core.Event.thread);
-              ("kind", kind e.Drd_core.Event.kind);
-              ( "site",
-                W.String (Drd_core.Names.site_name names e.Drd_core.Event.site)
-              );
-              ("locks", lockset e.Drd_core.Event.locks);
-            ] );
-        ( "prior",
-          W.Obj
-            [
-              ( "thread",
-                match p.Drd_core.Trie.p_thread with
-                | Drd_core.Event.Thread t -> W.Int t
-                | _ -> W.String "multiple" );
-              ("kind", kind p.Drd_core.Trie.p_kind);
-              ( "site",
-                W.String (Drd_core.Names.site_name names p.Drd_core.Trie.p_site)
-              );
-              ("locks", lockset p.Drd_core.Trie.p_locks);
-            ] );
-        ( "static_peers",
-          W.List
-            (List.map
-               (fun s -> W.String s)
-               (H.Pipeline.static_peers_of_site compiled
-                  e.Drd_core.Event.site)) );
-      ]
+    Drd_serve.Protocol.race_json ~loc:(str Drd_core.Names.loc_name)
+      ~site:(str Drd_core.Names.site_name) ~lock:(str Drd_core.Names.lock_name)
+      ~extra:[ ("static_peers", W.List (List.map (fun s -> W.String s) peers)) ]
+      race
   in
   let races =
     match r.H.Pipeline.report with
@@ -361,28 +352,39 @@ let spec_class_name = function
   | Some Drd_ir.Link.Sro -> "read-only"
   | None -> "generic"
 
-(* The --site-stats table: one row per trace site that saw events or
-   was specialized — its class, the events routed through it, how many
-   took a fast-path drop and how many fell back to the full detector
-   pipeline — plus the share of all events that arrived through
+(* The --site-stats rows: one per trace site that saw events or was
+   specialized — site, class, name, the events routed through it and
+   how many took a fast-path drop (the rest fell back to the full
+   detector pipeline). *)
+let site_rows compiled (ev, fast) =
+  let image = compiled.H.Pipeline.image in
+  let sites = compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites in
+  List.init (Array.length ev) Fun.id
+  |> List.filter_map (fun s ->
+         let cls = Drd_ir.Link.spec_class_of_site image s in
+         if ev.(s) > 0 || cls <> None then
+           Some
+             ( s,
+               spec_class_name cls,
+               Drd_ir.Site_table.name sites s,
+               ev.(s),
+               fast.(s) )
+         else None)
+
+(* The table, plus the share of all events that arrived through
    specialized sites. *)
 let print_site_stats compiled (r : H.Pipeline.result) =
   match r.H.Pipeline.site_stats with
   | None -> ()
-  | Some (ev, fast) ->
-      let image = compiled.H.Pipeline.image in
-      let sites = compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites in
+  | Some stats ->
       Fmt.pr "@.--- per-site event statistics ---@.";
       Fmt.pr "%-5s %-14s %10s %10s %10s  %s@." "site" "class" "events" "fast"
         "generic" "name";
-      for s = 0 to Array.length ev - 1 do
-        let cls = Drd_ir.Link.spec_class_of_site image s in
-        if ev.(s) > 0 || cls <> None then
-          Fmt.pr "%-5d %-14s %10d %10d %10d  %s@." s (spec_class_name cls)
-            ev.(s) fast.(s)
-            (ev.(s) - fast.(s))
-            (Drd_ir.Site_table.name sites s)
-      done;
+      List.iter
+        (fun (s, cls, name, ev, fast) ->
+          Fmt.pr "%-5d %-14s %10d %10d %10d  %s@." s cls ev fast (ev - fast)
+            name)
+        (site_rows compiled stats);
       if r.H.Pipeline.events > 0 then
         Fmt.pr "events through specialized sites: %d / %d (%.1f%%)@."
           r.H.Pipeline.spec_events r.H.Pipeline.events
@@ -393,35 +395,36 @@ let print_site_stats compiled (r : H.Pipeline.result) =
 let site_stats_json compiled (r : H.Pipeline.result) =
   match r.H.Pipeline.site_stats with
   | None -> []
-  | Some (ev, fast) ->
-      let image = compiled.H.Pipeline.image in
-      let sites = compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites in
-      let rows = ref [] in
-      for s = Array.length ev - 1 downto 0 do
-        let cls = Drd_ir.Link.spec_class_of_site image s in
-        if ev.(s) > 0 || cls <> None then
-          rows :=
-            W.Obj
-              [
-                ("site", W.Int s);
-                ("name", W.String (Drd_ir.Site_table.name sites s));
-                ("class", W.String (spec_class_name cls));
-                ("events", W.Int ev.(s));
-                ("fast", W.Int fast.(s));
-                ("generic", W.Int (ev.(s) - fast.(s)));
-              ]
-            :: !rows
-      done;
+  | Some stats ->
+      let row (s, cls, name, ev, fast) =
+        W.Obj
+          [
+            ("site", W.Int s);
+            ("name", W.String name);
+            ("class", W.String cls);
+            ("events", W.Int ev);
+            ("fast", W.Int fast);
+            ("generic", W.Int (ev - fast));
+          ]
+      in
       [
         ("spec_events", W.Int r.H.Pipeline.spec_events);
-        ("site_stats", W.List !rows);
+        ("site_stats", W.List (List.map row (site_rows compiled stats)));
       ]
+
+(* A baseline detector's report: racy locations only. *)
+let print_located_races detector = function
+  | [] -> Fmt.pr "@.No dataraces detected (%s).@." detector
+  | locs ->
+      Fmt.pr "@.Dataraces reported by %s on:@." detector;
+      List.iter (Fmt.pr "  %s@.") locs
 
 (* Compile and run once.  Under the paper detector the Section 10 side
    analyses ride along as taps: potential deadlocks from the lock-order
    graph, and the immutability summary. *)
-let run_tapped ~engine ~site_stats config source =
-  let compiled = H.Pipeline.compile config ~source in
+let run_impl src config engine site_stats verbose json =
+  or_compile_error @@ fun () ->
+  let compiled = H.Pipeline.compile config ~source:src.text in
   let locks = Drd_core.Lock_order.create () in
   let immut = Drd_core.Immutability.create () in
   let ours = config.H.Config.detector = H.Config.Ours in
@@ -430,153 +433,112 @@ let run_tapped ~engine ~site_stats config source =
     else None
   in
   let r = H.Pipeline.run ?tap ~engine ~site_stats compiled in
-  if ours then
-    ( compiled,
-      r,
-      Drd_core.Lock_order.potential_deadlocks locks,
-      Some (Drd_core.Immutability.summary immut) )
-  else (compiled, r, [], None)
-
-let run_cmd_impl file benchmark config_name detector seed quantum pct
-    pct_horizon engine site_stats verbose json =
-  or_compile_error @@ fun () ->
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source -> (
-      match
-        Result.map
-          (fun c ->
-            match detector with
-            | None -> c
-            | Some e -> H.Registry.apply e c)
-          (config_of_name ?quantum ?pct ~pct_horizon config_name seed)
-      with
-      | Error e -> `Error (false, e)
-      | Ok config when json ->
-          let compiled, r, deadlocks, _ =
-            run_tapped ~engine ~site_stats config source
-          in
-          run_json compiled r ~deadlocks ~extra:(site_stats_json compiled r);
-          `Ok ()
-      | Ok config ->
-          let compiled, r, deadlocks, immutability =
-            run_tapped ~engine ~site_stats config source
-          in
-          List.iter
-            (fun (tag, v) ->
-              match v with
-              | Some v -> Fmt.pr "[out] %s = %a@." tag Drd_vm.Value.pp v
-              | None -> Fmt.pr "[out] %s@." tag)
-            r.H.Pipeline.prints;
-          (match r.H.Pipeline.report with
-          | Some coll when Drd_core.Report.count coll > 0 ->
-              let names = H.Pipeline.names_of compiled r in
-              List.iter
-                (fun (race : Drd_core.Report.race) ->
-                  Fmt.pr "@.%a@." (Drd_core.Report.pp_race names) race;
-                  match
-                    H.Pipeline.static_peers_of_site compiled
-                      race.Drd_core.Report.current.Drd_core.Event.site
-                  with
-                  | [] -> ()
-                  | peers ->
-                      Fmt.pr "  statically possible racing statements:@.";
-                      List.iter (Fmt.pr "    %s@.") peers)
-                (Drd_core.Report.races coll)
-          | Some _ -> Fmt.pr "@.No dataraces detected.@."
-          | None ->
-              if r.H.Pipeline.races = [] then
-                Fmt.pr "@.No dataraces detected (%s).@." config.H.Config.name
-              else begin
-                Fmt.pr "@.Dataraces reported by %s on:@." config.H.Config.name;
-                List.iter (Fmt.pr "  %s@.") r.H.Pipeline.races
-              end);
-          (match deadlocks with
-          | [] -> ()
-          | dls ->
-              Fmt.pr "@.Potential deadlocks (lock-order cycles):@.";
-              List.iter
-                (fun (d : Drd_core.Lock_order.report) ->
-                  Fmt.pr "  locks {%a} acquired in conflicting order by threads {%a}@."
-                    Fmt.(list ~sep:(any ", ") int)
-                    d.Drd_core.Lock_order.dl_locks
-                    Fmt.(list ~sep:(any ", ") int)
-                    d.Drd_core.Lock_order.dl_threads)
-                dls);
-          if verbose then begin
-            Fmt.pr "@.--- pipeline statistics ---@.";
-            Fmt.pr "compile time:      %.3fs@." compiled.H.Pipeline.compile_time;
-            (match compiled.H.Pipeline.static_stats with
-            | Some s -> Fmt.pr "%a@." Drd_static.Race_set.pp_stats s
-            | None -> ());
-            Fmt.pr "traces inserted:   %d@." compiled.H.Pipeline.traces_inserted;
-            Fmt.pr "traces eliminated: %d@." compiled.H.Pipeline.traces_eliminated;
-            Fmt.pr "threads:           %d@." r.H.Pipeline.threads;
-            Fmt.pr "steps:             %d@." r.H.Pipeline.steps;
-            Fmt.pr "events:            %d@." r.H.Pipeline.events;
-            Fmt.pr "wall time:         %.3fs@." r.H.Pipeline.wall_time;
-            (match immutability with
-            | Some s ->
-                Fmt.pr "immutability:      %a@." Drd_core.Immutability.pp_summary s
-            | None -> ());
-            match r.H.Pipeline.detector_stats with
-            | Some s -> Fmt.pr "%a@." Drd_core.Detector.pp_stats s
-            | None -> ()
-          end;
-          print_site_stats compiled r;
-          `Ok ())
+  let deadlocks =
+    if ours then Drd_core.Lock_order.potential_deadlocks locks else []
+  in
+  if json then
+    run_json compiled r ~deadlocks ~extra:(site_stats_json compiled r)
+  else begin
+    List.iter
+      (fun (tag, v) ->
+        match v with
+        | Some v -> Fmt.pr "[out] %s = %a@." tag Drd_vm.Value.pp v
+        | None -> Fmt.pr "[out] %s@." tag)
+      r.H.Pipeline.prints;
+    (match r.H.Pipeline.report with
+    | Some coll when Drd_core.Report.count coll > 0 ->
+        let names = H.Pipeline.names_of compiled r in
+        List.iter
+          (fun (race : Drd_core.Report.race) ->
+            Fmt.pr "@.%a@." (Drd_core.Report.pp_race names) race;
+            match
+              H.Pipeline.static_peers_of_site compiled
+                race.Drd_core.Report.current.Drd_core.Event.site
+            with
+            | [] -> ()
+            | peers ->
+                Fmt.pr "  statically possible racing statements:@.";
+                List.iter (Fmt.pr "    %s@.") peers)
+          (Drd_core.Report.races coll)
+    | Some _ -> Fmt.pr "@.No dataraces detected.@."
+    | None -> print_located_races config.H.Config.name r.H.Pipeline.races);
+    (match deadlocks with
+    | [] -> ()
+    | dls ->
+        Fmt.pr "@.Potential deadlocks (lock-order cycles):@.";
+        List.iter
+          (fun (d : Drd_core.Lock_order.report) ->
+            Fmt.pr "  locks {%a} acquired in conflicting order by threads {%a}@."
+              Fmt.(list ~sep:(any ", ") int)
+              d.Drd_core.Lock_order.dl_locks
+              Fmt.(list ~sep:(any ", ") int)
+              d.Drd_core.Lock_order.dl_threads)
+          dls);
+    if verbose then begin
+      Fmt.pr "@.--- pipeline statistics ---@.";
+      Fmt.pr "compile time:      %.3fs@." compiled.H.Pipeline.compile_time;
+      (match compiled.H.Pipeline.static_stats with
+      | Some s -> Fmt.pr "%a@." Drd_static.Race_set.pp_stats s
+      | None -> ());
+      Fmt.pr "traces inserted:   %d@." compiled.H.Pipeline.traces_inserted;
+      Fmt.pr "traces eliminated: %d@." compiled.H.Pipeline.traces_eliminated;
+      Fmt.pr "threads:           %d@." r.H.Pipeline.threads;
+      Fmt.pr "steps:             %d@." r.H.Pipeline.steps;
+      Fmt.pr "events:            %d@." r.H.Pipeline.events;
+      Fmt.pr "wall time:         %.3fs@." r.H.Pipeline.wall_time;
+      if ours then
+        Fmt.pr "immutability:      %a@." Drd_core.Immutability.pp_summary
+          (Drd_core.Immutability.summary immut);
+      match r.H.Pipeline.detector_stats with
+      | Some s -> Fmt.pr "%a@." Drd_core.Detector.pp_stats s
+      | None -> ()
+    end;
+    print_site_stats compiled r
+  end;
+  `Ok ()
 
 let run_cmd =
   let doc = "run a program under a datarace detector" in
+  let config =
+    config_term ~detector:detector_arg ~seed:seed_arg ~quantum:quantum_arg
+      ~pct:pct_arg ~pct_horizon:pct_horizon_arg ()
+  in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run_cmd_impl $ file_arg $ benchmark_arg $ config_arg
-       $ detector_arg $ seed_arg $ quantum_arg $ pct_arg $ pct_horizon_arg
-       $ engine_arg $ site_stats_arg $ verbose_arg
-       $ json_arg))
+        (const run_impl $ source_term $ config $ engine_arg $ site_stats_arg
+       $ verbose_arg $ json_arg))
 
 (* ---- analyze ---- *)
 
 (* The static analysis runs on the lowered, unpeeled program: the
    NoPeeling configuration's compile computes exactly these statistics. *)
-let analyze_impl file benchmark =
+let analyze_impl src =
   or_compile_error @@ fun () ->
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source ->
-      let compiled = H.Pipeline.compile H.Config.no_peeling ~source in
-      Option.iter
-        (Fmt.pr "%a@." Drd_static.Race_set.pp_stats)
-        compiled.H.Pipeline.static_stats;
-      `Ok ()
+  let compiled = H.Pipeline.compile H.Config.no_peeling ~source:src.text in
+  Option.iter
+    (Fmt.pr "%a@." Drd_static.Race_set.pp_stats)
+    compiled.H.Pipeline.static_stats;
+  `Ok ()
 
 let analyze_cmd =
   let doc = "run the static datarace analysis only" in
-  Cmd.v
-    (Cmd.info "analyze" ~doc)
-    Term.(ret (const analyze_impl $ file_arg $ benchmark_arg))
+  Cmd.v (Cmd.info "analyze" ~doc) Term.(ret (const analyze_impl $ source_term))
 
 (* ---- ir ---- *)
 
-let ir_impl file benchmark config_name meth =
+let ir_impl src config meth =
   or_compile_error @@ fun () ->
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source -> (
-      match config_of_name config_name 42 with
-      | Error e -> `Error (false, e)
-      | Ok config ->
-          let compiled = H.Pipeline.compile config ~source in
-          let prog = compiled.H.Pipeline.prog in
-          (match meth with
-          | Some key -> (
-              match Ir.find_mir prog key with
-              | Some m -> Fmt.pr "%a@." Drd_ir.Pretty.pp_mir m
-              | None -> Fmt.pr "no method %s@." key)
-          | None -> Fmt.pr "%a@." Drd_ir.Pretty.pp_program prog);
-          `Ok ())
+  let compiled = H.Pipeline.compile config ~source:src.text in
+  let prog = compiled.H.Pipeline.prog in
+  (match meth with
+  | Some key -> (
+      match Ir.find_mir prog key with
+      | Some m -> Fmt.pr "%a@." Drd_ir.Pretty.pp_mir m
+      | None -> Fmt.pr "no method %s@." key)
+  | None -> Fmt.pr "%a@." Drd_ir.Pretty.pp_program prog);
+  `Ok ()
 
 let ir_cmd =
   let doc = "dump the (instrumented) intermediate representation" in
@@ -588,24 +550,21 @@ let ir_cmd =
   in
   Cmd.v
     (Cmd.info "ir" ~doc)
-    Term.(ret (const ir_impl $ file_arg $ benchmark_arg $ config_arg $ meth))
+    Term.(ret (const ir_impl $ source_term $ config_term () $ meth))
 
 (* ---- record / detect: post-mortem mode (paper Section 1) ---- *)
 
-let record_impl file benchmark out =
+let record_impl src out =
   or_compile_error @@ fun () ->
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source ->
-      let compiled = H.Pipeline.compile H.Config.full ~source in
-      let log, result = H.Pipeline.record_log compiled in
-      let oc = open_out out in
-      Drd_core.Event_log.to_channel oc log;
-      close_out oc;
-      Fmt.pr "recorded %d events (%d threads, %d steps) to %s@."
-        (Drd_core.Event_log.length log)
-        result.Drd_vm.Interp.r_max_threads result.Drd_vm.Interp.r_steps out;
-      `Ok ()
+  let compiled = H.Pipeline.compile H.Config.full ~source:src.text in
+  let log, result = H.Pipeline.record_log compiled in
+  let oc = open_out out in
+  Drd_core.Event_log.to_channel oc log;
+  close_out oc;
+  Fmt.pr "recorded %d events (%d threads, %d steps) to %s@."
+    (Drd_core.Event_log.length log)
+    result.H.Pipeline.threads result.H.Pipeline.steps out;
+  `Ok ()
 
 let record_cmd =
   let doc = "execute a program recording its event log (post-mortem phase 1)" in
@@ -616,15 +575,10 @@ let record_cmd =
   in
   Cmd.v
     (Cmd.info "record" ~doc)
-    Term.(ret (const record_impl $ file_arg $ benchmark_arg $ out))
+    Term.(ret (const record_impl $ source_term $ out))
 
 let read_log log_file =
-  match
-    let ic = open_in log_file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Drd_core.Event_log.of_channel ic)
-  with
+  match In_channel.with_open_text log_file Drd_core.Event_log.of_channel with
   | exception Sys_error e -> data_error "%s" e
   | exception Failure e -> data_error "%s" e
   | log -> log
@@ -633,8 +587,7 @@ let read_log log_file =
    module — the generic sibling of the paper detector's post-mortem
    phase below.  Site/location names are not part of the log, so
    locations print by id, as the `-c` baseline path always has. *)
-let detect_replay_module (e : H.Registry.entry) log_file json =
-  let log = read_log log_file in
+let detect_replay_module (e : H.Registry.entry) log json =
   let racy, events = H.Pipeline.replay_module e.H.Registry.impl log in
   if json then
     print_endline
@@ -650,87 +603,67 @@ let detect_replay_module (e : H.Registry.entry) log_file json =
     Fmt.pr "replayed %d log entries (%d access events)@."
       (Drd_core.Event_log.length log)
       events;
-    if racy = [] then
-      Fmt.pr "@.No dataraces detected (%s).@." e.H.Registry.name
-    else begin
-      Fmt.pr "@.Dataraces reported by %s on:@." e.H.Registry.name;
-      List.iter (Fmt.pr "  location %d@.") racy
-    end
+    print_located_races e.H.Registry.name
+      (List.map (Printf.sprintf "location %d") racy)
   end;
   `Ok ()
 
-let detect_impl log_file config_name detector pairs benchmark json =
+let detect_impl log_file detector config pairs benchmark json =
+  let log = read_log log_file in
   match detector with
   | Some e when e.H.Registry.detector <> H.Config.Ours ->
-      detect_replay_module e log_file json
-  | _ -> (
-  match
-    Result.map
-      (fun c ->
-        match detector with
-        | None -> c
-        | Some e -> H.Registry.apply e c)
-      (config_of_name config_name 42)
-  with
-  | Error e -> `Error (false, e)
-  | Ok config -> (
-    match read_log log_file with
-    | log when json ->
-      (* The same renderer the serve daemon closes a session with, so a
-         streamed session's report frame can be byte-compared against
-         this one-shot replay. *)
+      detect_replay_module e log json
+  | _ ->
       let coll, stats = H.Pipeline.detect_post_mortem config log in
-      print_endline
-        (Drd_serve.Protocol.events_report_body
-           ~races:(Drd_core.Report.races coll)
-           ~stats ~evictions:0);
-      `Ok ()
-    | log ->
-      let coll, stats = H.Pipeline.detect_post_mortem config log in
-      Fmt.pr "replayed %d log entries@." (Drd_core.Event_log.length log);
-      Fmt.pr "%a@." Drd_core.Detector.pp_stats stats;
-      let racy = Drd_core.Report.racy_locs coll in
-      (* Site names are available when the recorded program is known
-         (record always compiles with the Full configuration). *)
-      let site_name =
-        match benchmark with
-        | None -> fun s -> Printf.sprintf "site %d" s
-        | Some b -> (
-            match H.Programs.find b with
-            | None -> fun s -> Printf.sprintf "site %d" s
-            | Some bench ->
-                let compiled =
-                  H.Pipeline.compile H.Config.full
-                    ~source:bench.H.Programs.b_source
-                in
-                fun s ->
-                  if s < 0 then "<unknown>"
-                  else
-                    Drd_ir.Site_table.name
-                      compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites s)
-      in
-      if racy = [] then Fmt.pr "@.No dataraces detected.@."
+      if json then
+        (* The same renderer the serve daemon closes a session with, so a
+           streamed session's report frame can be byte-compared against
+           this one-shot replay. *)
+        print_endline
+          (Drd_serve.Protocol.events_report_body
+             ~races:(Drd_core.Report.races coll)
+             ~stats ~evictions:0)
       else begin
-        Fmt.pr "@.Dataraces on %d locations:@." (List.length racy);
-        List.iter (Fmt.pr "  location %d@.") racy;
-        if pairs then begin
-          Fmt.pr
-            "@.FullRace reconstruction (all racing site pairs, Section 2.5):@.";
-          List.iter
-            (fun (loc, ps) ->
-              Fmt.pr "  location %d:@." loc;
-              List.iter
-                (fun (p : Drd_core.Full_race.pair) ->
-                  Fmt.pr "    %5d× %a at %s  vs  %a at %s@." p.Drd_core.Full_race.fr_count
-                    Drd_core.Event.pp_kind p.Drd_core.Full_race.fr_kind_a
-                    (site_name p.Drd_core.Full_race.fr_site_a)
-                    Drd_core.Event.pp_kind p.Drd_core.Full_race.fr_kind_b
-                    (site_name p.Drd_core.Full_race.fr_site_b))
-                ps)
-            (Drd_core.Full_race.reconstruct log ~locs:racy)
+        Fmt.pr "replayed %d log entries@." (Drd_core.Event_log.length log);
+        Fmt.pr "%a@." Drd_core.Detector.pp_stats stats;
+        let racy = Drd_core.Report.racy_locs coll in
+        (* Site names are available when the recorded program is known
+           (record always compiles with the Full configuration). *)
+        let site_name =
+          match benchmark with
+          | None -> fun s -> Printf.sprintf "site %d" s
+          | Some (_, source) ->
+              let compiled = H.Pipeline.compile H.Config.full ~source in
+              fun s ->
+                if s < 0 then "<unknown>"
+                else
+                  Drd_ir.Site_table.name
+                    compiled.H.Pipeline.prog.Drd_ir.Ir.p_sites s
+        in
+        if racy = [] then Fmt.pr "@.No dataraces detected.@."
+        else begin
+          Fmt.pr "@.Dataraces on %d locations:@." (List.length racy);
+          List.iter (Fmt.pr "  location %d@.") racy;
+          if pairs then begin
+            Fmt.pr
+              "@.FullRace reconstruction (all racing site pairs, Section 2.5):@.";
+            List.iter
+              (fun (loc, ps) ->
+                Fmt.pr "  location %d:@." loc;
+                List.iter
+                  (fun (p : Drd_core.Full_race.pair) ->
+                    Fmt.pr "    %5d× %a at %s  vs  %a at %s@."
+                      p.Drd_core.Full_race.fr_count Drd_core.Event.pp_kind
+                      p.Drd_core.Full_race.fr_kind_a
+                      (site_name p.Drd_core.Full_race.fr_site_a)
+                      Drd_core.Event.pp_kind p.Drd_core.Full_race.fr_kind_b
+                      (site_name p.Drd_core.Full_race.fr_site_b))
+                  ps)
+              (Drd_core.Full_race.reconstruct log ~locs:racy)
+          end
         end
       end;
-      `Ok ()))
+      `Ok ()
 
 let detect_cmd =
   let doc = "run the detection phase offline over a recorded log (phase 2)" in
@@ -750,7 +683,7 @@ let detect_cmd =
   let bench_for_names =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some benchmark_conv) None
       & info [ "b"; "benchmark" ] ~docv:"NAME"
           ~doc:"The recorded benchmark, to resolve site names.")
   in
@@ -758,157 +691,60 @@ let detect_cmd =
     (Cmd.info "detect" ~doc)
     Term.(
       ret
-        (const detect_impl $ log_file $ config_arg $ detector_arg $ pairs
-       $ bench_for_names $ json_arg))
-
-(* ---- sweep: the legacy seed sweep (now a thin campaign) ---- *)
-
-let sweep_impl file benchmark config_name nseeds seed json =
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source -> (
-      match config_of_name config_name seed with
-      | Error e -> `Error (false, e)
-      | Ok config ->
-          let seeds = List.init nseeds (fun i -> i + 1) in
-          let { E.Explore.sw_objects = rows; sw_failures = failures } =
-            E.Explore.sweep config ~source ~seeds
-          in
-          if json then
-            print_endline
-              (W.json_to_string
-                 (W.Obj
-                    [
-                      ("config", W.String config.H.Config.name);
-                      ("schedules", W.Int nseeds);
-                      ( "objects",
-                        W.List
-                          (List.map
-                             (fun (obj, n) ->
-                               W.Obj
-                                 [
-                                   ("object", W.String obj);
-                                   ("runs_reporting", W.Int n);
-                                 ])
-                             rows) );
-                      ( "failures",
-                        W.List
-                          (List.map
-                             (fun (seed, e) ->
-                               W.Obj
-                                 [
-                                   ("seed", W.Int seed);
-                                   ("error", W.String e);
-                                 ])
-                             failures) );
-                    ]))
-          else begin
-            Fmt.pr "racy objects over %d schedules (%s):@." nseeds
-              config.H.Config.name;
-            if rows = [] then Fmt.pr "  (none)@.";
-            List.iter
-              (fun (obj, n) -> Fmt.pr "  %4d/%d  %s@." n nseeds obj)
-              rows;
-            List.iter
-              (fun (seed, e) -> Fmt.pr "  seed %d FAILED: %s@." seed e)
-              failures
-          end;
-          `Ok ())
-
-let sweep_cmd =
-  let doc = "run across many scheduler seeds and aggregate the reports" in
-  let nseeds =
-    Arg.(
-      value & opt int 10
-      & info [ "n"; "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc)
-    Term.(
-      ret
-        (const sweep_impl $ file_arg $ benchmark_arg $ config_arg $ nseeds
-       $ seed_arg $ json_arg))
+        (const detect_impl $ log_file $ detector_arg
+       $ config_term ~detector:detector_arg ()
+       $ pairs $ bench_for_names $ json_arg))
 
 (* ---- explore: the parallel schedule-exploration campaign ---- *)
 
-let parse_shard = function
-  | None -> Ok None
-  | Some s -> (
-      let bad () =
-        Error
-          (Printf.sprintf "bad --shard %s (want I/N with 0 <= I < N)" s)
-      in
-      match String.index_opt s '/' with
-      | None -> bad ()
-      | Some k -> (
-          let i = String.sub s 0 k in
-          let n = String.sub s (k + 1) (String.length s - k - 1) in
-          match (int_of_string_opt i, int_of_string_opt n) with
-          | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (Some (i, n))
-          | _ -> bad ()))
+(* [--shard I/N]: run indices congruent to I mod N. *)
+let shard_conv =
+  let parse s =
+    let bad () = Error (Printf.sprintf "%s is not I/N with 0 <= I < N" s) in
+    match String.index_opt s '/' with
+    | None -> bad ()
+    | Some k -> (
+        let i = String.sub s 0 k in
+        let n = String.sub s (k + 1) (String.length s - k - 1) in
+        match (int_of_string_opt i, int_of_string_opt n) with
+        | Some i, Some n when n >= 1 && i >= 0 && i < n -> Ok (i, n)
+        | _ -> bad ())
+  in
+  Arg.conv' (parse, fun ppf (i, n) -> Fmt.pf ppf "%d/%d" i n)
 
-let explore_impl file benchmark config_name strategy depth workers batch
-    no_ctx_reuse runs max_seconds plateau seed quantum pct_horizon equiv shard
-    emit_obs no_timing json =
+let explore_impl src config strategy depth workers batch runs max_seconds
+    plateau pct_horizon equiv shard emit_obs no_timing json =
   or_compile_error @@ fun () ->
-  match batch with
-  | Some b when b < 1 ->
-      `Error (false, Printf.sprintf "bad --batch %d (want >= 1)" b)
-  | _ -> (
-  match load_source file benchmark with
-  | Error e -> `Error (false, e)
-  | Ok source -> (
-      match config_of_name ?quantum config_name seed with
-      | Error e -> `Error (false, e)
-      | Ok config -> (
-          match E.Strategy.of_string strategy with
-          | Error e -> `Error (false, e)
-          | Ok strategy -> (
-            match E.Explore.equiv_of_string equiv with
-            | Error e -> `Error (false, e)
-            | Ok equiv -> (
-              match parse_shard shard with
-              | Error e -> `Error (false, e)
-              | Ok shard ->
-                  let strategy =
-                    match strategy with
-                    | E.Strategy.Pct _ -> E.Strategy.Pct depth
-                    | s -> s
-                  in
-                  let sp =
-                    E.Explore.spec ~strategy ~workers:(max workers 1)
-                      ~budget:(E.Explore.budget ?seconds:max_seconds ?plateau runs)
-                      ~pct_horizon ~equiv config
-                  in
-                  let r =
-                    E.Explore.run_campaign ?shard ?batch
-                      ~reuse_ctx:(not no_ctx_reuse) sp ~source
-                  in
-                  let target = target_of file benchmark in
-                  (match emit_obs with
-                  | Some path ->
-                      let rows = E.Explore.rows_of_report r in
-                      let oc = open_out path in
-                      E.Explore.write_obs_channel oc ~target sp rows;
-                      close_out oc;
-                      (* Diagnostics never on stdout under --json:
-                         machine consumers read it. *)
-                      (if json then Fmt.epr else Fmt.pr)
-                        "wrote %d observation rows%s to %s@."
-                        (List.length rows)
-                        (match shard with
-                        | Some (i, n) -> Printf.sprintf " (shard %d/%d)" i n
-                        | None -> "")
-                        path
-                  | None ->
-                      if json then
-                        print_endline
-                          (E.Explore.report_json ~timing:(not no_timing) r)
-                      else
-                        print_string
-                          (E.Explore.report_text ~timing:(not no_timing)
-                             ~target r));
-                  `Ok ())))))
+  let strategy =
+    match strategy with E.Strategy.Pct _ -> E.Strategy.Pct depth | s -> s
+  in
+  let sp =
+    E.Explore.spec ~strategy ~workers
+      ~budget:(E.Explore.budget ?seconds:max_seconds ?plateau runs)
+      ~pct_horizon ~equiv config
+  in
+  let r = E.Explore.run_campaign ?shard ?batch sp ~source:src.text in
+  (match emit_obs with
+  | Some path ->
+      let rows = E.Explore.rows_of_report r in
+      let oc = open_out path in
+      E.Explore.write_obs_channel oc ~target:src.target sp rows;
+      close_out oc;
+      (* Diagnostics never on stdout under --json: machine consumers
+         read it. *)
+      (if json then Fmt.epr else Fmt.pr)
+        "wrote %d observation rows%s to %s@." (List.length rows)
+        (match shard with
+        | Some (i, n) -> Printf.sprintf " (shard %d/%d)" i n
+        | None -> "")
+        path
+  | None ->
+      if json then
+        print_endline (E.Explore.report_json ~timing:(not no_timing) r)
+      else
+        print_string
+          (E.Explore.report_text ~timing:(not no_timing) ~target:src.target r));
+  `Ok ()
 
 let explore_cmd =
   let doc =
@@ -939,7 +775,7 @@ let explore_cmd =
   let shard =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some shard_conv) None
       & info [ "shard" ] ~docv:"I/N"
           ~doc:
             "Run only shard $(i,I) of $(i,N) — the run indices congruent \
@@ -958,8 +794,13 @@ let explore_cmd =
              merge).")
   in
   let equiv =
+    let equiv_conv =
+      Arg.conv'
+        ( E.Explore.equiv_of_string,
+          fun ppf e -> Fmt.string ppf (E.Explore.equiv_name e) )
+    in
     Arg.(
-      value & opt string "raw"
+      value & opt equiv_conv E.Explore.Raw
       & info [ "equiv" ] ~docv:"MODE"
           ~doc:
             "Schedule-equivalence mode: $(b,raw) fingerprints the exact \
@@ -972,142 +813,44 @@ let explore_cmd =
     (Cmd.info "explore" ~doc)
     Term.(
       ret
-        (const explore_impl $ file_arg $ benchmark_arg $ config_arg
-       $ strategy_arg $ depth_arg $ workers_arg $ batch_arg
-       $ no_ctx_reuse_arg $ runs_arg $ max_seconds
-       $ plateau $ seed_arg $ quantum_arg $ pct_horizon_arg $ equiv $ shard
-       $ emit_obs $ no_timing_arg $ json_arg))
+        (const explore_impl $ source_term
+       $ config_term ~seed:seed_arg ~quantum:quantum_arg ()
+       $ strategy_arg $ depth_arg $ workers_arg $ batch_arg $ runs_arg
+       $ max_seconds $ plateau $ pct_horizon_arg $ equiv $ shard $ emit_obs
+       $ no_timing_arg $ json_arg))
 
 (* ---- merge: re-fold shard observation files ---- *)
 
 let merge_impl files json =
-  if files = [] then
-    `Error
-      (false, "give at least one OBS file (from racedet explore --emit-obs)")
-  else
-    (* Stream each file row by row (fold_obs_channel): one line resident
-       at a time, so an observation file larger than memory still
-       merges.  Only the decoded rows accumulate. *)
-    let read_one path =
-      match open_in path with
-      | exception Sys_error e -> Error e
-      | ic -> (
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              match
-                E.Explore.fold_obs_channel ic ~init:[] ~row:(fun acc r ->
-                    r :: acc)
-              with
-              | Ok (spec, target, rows_rev) ->
-                  Ok (spec, target, List.rev rows_rev)
-              | Error m -> Error (Printf.sprintf "%s: %s" path m)))
-    in
-    let rec read_all acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: ps -> (
-          match read_one p with
-          | Ok x -> read_all ((p, x) :: acc) ps
-          | Error _ as e -> e)
-    in
-    match read_all [] files with
-    | Error e -> data_error "%s" e
-    | Ok shards -> (
-        let p0, (spec0, target0, _) = List.hd shards in
-        match
-          List.find_opt
-            (fun (_, (sp, _, _)) -> not (E.Explore.compatible spec0 sp))
-            (List.tl shards)
-        with
-        | Some (p, (sp, _, _)) ->
-            (* Name the mismatch when it is only the equivalence mode:
-               rows recorded under different equivalences fold into
-               different class/pruning stats, so mixing them would
-               produce a report no single-process campaign matches. *)
-            let only_equiv_differs =
-              E.Explore.compatible spec0
-                { sp with E.Explore.e_equiv = spec0.E.Explore.e_equiv }
-            in
-            if only_equiv_differs then
-              data_error
-                "%s records a %s-equivalence campaign but %s records %s \
-                 (mixed equivalence modes); refusing to merge"
-                p0
-                (E.Explore.equiv_name spec0.E.Explore.e_equiv)
-                p
-                (E.Explore.equiv_name sp.E.Explore.e_equiv)
-            else
-              data_error
-                "%s and %s describe different campaigns (spec mismatch); \
-                 refusing to merge"
-                p0 p
-        | None -> (
-            let rows = List.concat_map (fun (_, (_, _, rs)) -> rs) shards in
-            (* A run index in two inputs means overlapping shards — the
-               fold would double-count sightings.  Compile failures
-               (index -1) are per-shard and exempt. *)
-            let seen = Hashtbl.create 64 in
-            let dup =
-              List.find_opt
-                (fun row ->
-                  let i = E.Aggregate.row_index row in
-                  if i < 0 then false
-                  else if Hashtbl.mem seen i then true
-                  else begin
-                    Hashtbl.add seen i ();
-                    false
-                  end)
-                rows
-            in
-            match dup with
-            | Some row ->
-                data_error
-                  "run index %d appears in more than one input (overlapping \
-                   shards?); refusing to merge"
-                  (E.Aggregate.row_index row)
-            | None -> (
-                (* The inverse failure of overlap: a missing shard file
-                   or truncated tail leaves gaps in the index range, and
-                   the fold would silently produce a plausible report
-                   that is not the single-process one.  With a purely
-                   runs-based budget every index must be present; with a
-                   wall-clock or plateau budget, runs legitimately never
-                   executed, so only warn. *)
-                let missing = E.Explore.missing_indices spec0 rows in
-                let b = spec0.E.Explore.e_budget in
-                let pure_runs_budget =
-                  b.E.Explore.b_seconds = None && b.E.Explore.b_plateau = None
-                in
-                let describe_missing () =
-                  let shown =
-                    List.filteri (fun k _ -> k < 8) missing
-                    |> List.map string_of_int
-                  in
-                  Printf.sprintf "%d of %d run indices missing (%s%s)"
-                    (List.length missing) b.E.Explore.b_runs
-                    (String.concat ", " shown)
-                    (if List.length missing > 8 then ", ..." else "")
-                in
-                match missing with
-                | _ :: _ when pure_runs_budget ->
-                    data_error
-                      "%s — incomplete shard set or truncated file? refusing \
-                       to merge"
-                      (describe_missing ())
-                | _ ->
-                    if missing <> [] then
-                      Printf.eprintf
-                        "warning: %s; assuming the campaign's \
-                         wall-clock/plateau budget stopped those runs\n\
-                         %!"
-                        (describe_missing ());
-                    let r = E.Explore.merge spec0 rows in
-                    if json then
-                      print_endline (E.Explore.report_json ~timing:false r)
-                    else
-                      print_string
-                        (E.Explore.report_text ~timing:false ~target:target0 r);
-                    `Ok ())))
+  (* Stream each file row by row (fold_obs_channel): one line resident at
+     a time, so an observation file larger than memory still merges.
+     Only the decoded rows accumulate. *)
+  let read path =
+    match
+      In_channel.with_open_text path (fun ic ->
+          E.Explore.fold_obs_channel ic ~init:[] ~row:(fun acc r -> r :: acc))
+    with
+    | exception Sys_error e -> data_error "%s" e
+    | Ok (spec, target, rows) -> ((path, spec, List.rev rows), target)
+    | Error m -> data_error "%s: %s" path m
+  in
+  (* [files] is non-empty; reproduction lines name the first file's
+     target. *)
+  let inputs, targets = List.split (List.map read files) in
+  match E.Explore.merge inputs with
+  | Error e -> data_error "%s" e
+  | Ok (r, missing) ->
+      if missing <> [] then
+        Printf.eprintf
+          "warning: %s; assuming the campaign's wall-clock/plateau budget \
+           stopped those runs\n\
+           %!"
+          (E.Explore.describe_missing r.E.Explore.r_spec missing);
+      if json then print_endline (E.Explore.report_json ~timing:false r)
+      else
+        print_string
+          (E.Explore.report_text ~timing:false ~target:(List.hd targets) r);
+      `Ok ()
 
 let merge_cmd =
   let doc = "merge shard observation files into one campaign report" in
@@ -1131,7 +874,7 @@ let merge_cmd =
   in
   let files =
     Arg.(
-      value & pos_all file []
+      non_empty & pos_all file []
       & info [] ~docv:"OBS"
           ~doc:"Observation files from $(b,racedet explore --emit-obs).")
   in
@@ -1141,39 +884,23 @@ let merge_cmd =
 
 (* ---- serve: the long-lived streaming detection daemon ---- *)
 
-let serve_impl config_name socket stats_every evict_high evict_low =
-  match config_of_name config_name 42 with
-  | Error e -> `Error (false, e)
-  | Ok config -> (
-      match
-        match evict_high with
-        | None ->
-            if evict_low <> None then
-              Error "--evict-low is meaningless without --evict-high"
-            else Ok None
-        | Some high -> (
-            match Drd_core.Detector.eviction ?low:evict_low ~high () with
-            | ev -> Ok (Some ev)
-            | exception Invalid_argument m -> Error m)
-      with
-      | Error e -> `Error (false, e)
-      | Ok eviction -> (
-          let conf =
-            {
-              Drd_serve.Server.sv_config = config;
-              sv_eviction = eviction;
-              sv_stats_every = stats_every;
-            }
-          in
-          match socket with
-          | Some path -> (
-              match Drd_serve.Server.serve_socket conf ~path () with
-              | Ok () -> `Ok ()
-              | Error e -> `Error (false, e))
-          | None -> (
-              match Drd_serve.Server.serve_channels conf stdin stdout with
-              | Ok () -> `Ok ()
-              | Error e -> data_error "%s" e)))
+let serve_impl config socket stats_every eviction =
+  let conf =
+    {
+      Drd_serve.Server.sv_config = config;
+      sv_eviction = eviction;
+      sv_stats_every = stats_every;
+    }
+  in
+  match socket with
+  | Some path -> (
+      match Drd_serve.Server.serve_socket conf ~path () with
+      | Ok () -> `Ok ()
+      | Error e -> `Error (false, e))
+  | None -> (
+      match Drd_serve.Server.serve_channels conf stdin stdout with
+      | Ok () -> `Ok ()
+      | Error e -> data_error "%s" e)
 
 let serve_cmd =
   let doc = "long-lived streaming detection daemon (service mode)" in
@@ -1236,12 +963,23 @@ let serve_cmd =
             "Keep the $(docv) most recently accessed locations when \
              evicting (default: half of $(b,--evict-high)).")
   in
+  let eviction =
+    let make high low =
+      match (high, low) with
+      | None, None -> `Ok None
+      | None, Some _ ->
+          `Error (false, "--evict-low is meaningless without --evict-high")
+      | Some high, low -> (
+          match Drd_core.Detector.eviction ?low ~high () with
+          | ev -> `Ok (Some ev)
+          | exception Invalid_argument m -> `Error (false, m))
+    in
+    Term.(ret (const make $ evict_high $ evict_low))
+  in
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      ret
-        (const serve_impl $ config_arg $ socket $ stats_every $ evict_high
-       $ evict_low))
+      ret (const serve_impl $ config_term () $ socket $ stats_every $ eviction))
 
 (* ---- arena: differential detector testing on generated programs ---- *)
 
@@ -1336,7 +1074,7 @@ let arena_cmd =
   in
   let count =
     Arg.(
-      value & opt int 200
+      value & opt (int_at_least 0) 200
       & info [ "n"; "programs" ] ~docv:"N" ~doc:"Programs to generate.")
   in
   let max_units =
@@ -1447,7 +1185,6 @@ let () =
             ir_cmd;
             record_cmd;
             detect_cmd;
-            sweep_cmd;
             arena_cmd;
             list_cmd;
           ]))

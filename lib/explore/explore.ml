@@ -262,8 +262,6 @@ let report_of_rows ?(wall = 0.) ?(deadline_hit = false) ?(apply_plateau = true)
     r_wall = wall;
   }
 
-let merge sp rows = report_of_rows sp rows
-
 (* Run indices the campaign's deterministic index range owns but [rows]
    do not cover — at merge time, evidence of an incomplete shard set.
    Negative indices (out-of-range markers from older recorders) are
@@ -281,6 +279,75 @@ let missing_indices (sp : spec) rows =
       if i >= 0 then Hashtbl.replace present i ())
     rows;
   List.init total Fun.id |> List.filter (fun i -> not (Hashtbl.mem present i))
+
+let describe_missing (sp : spec) missing =
+  let shown =
+    List.filteri (fun k _ -> k < 8) missing |> List.map string_of_int
+  in
+  Printf.sprintf "%d of %d run indices missing (%s%s)" (List.length missing)
+    sp.e_budget.b_runs (String.concat ", " shown)
+    (if List.length missing > 8 then ", ..." else "")
+
+(* The checked merge: every refusal a broken shard set earns, in one
+   place, so [racedet merge] and serve obs sessions say the same words.
+   The first input's spec is the campaign's. *)
+let merge inputs =
+  let refuse fmt =
+    Printf.ksprintf (fun m -> Error (m ^ "; refusing to merge")) fmt
+  in
+  match inputs with
+  | [] -> Error "no observation input to merge"
+  | (name0, sp0, _) :: rest -> (
+      match List.find_opt (fun (_, sp, _) -> not (compatible sp0 sp)) rest with
+      | Some (name, sp, _) ->
+          (* Name the mismatch when it is only the equivalence mode:
+             rows recorded under different equivalences fold into
+             different class/pruning stats, so mixing them would produce
+             a report no single-process campaign matches. *)
+          if compatible sp0 { sp with e_equiv = sp0.e_equiv } then
+            refuse
+              "%s records a %s-equivalence campaign but %s records %s (mixed \
+               equivalence modes)"
+              name0 (equiv_name sp0.e_equiv) name (equiv_name sp.e_equiv)
+          else
+            refuse "%s and %s describe different campaigns (spec mismatch)"
+              name0 name
+      | None -> (
+          let rows = List.concat_map (fun (_, _, rows) -> rows) inputs in
+          (* A run index seen twice means overlapping shards — the fold
+             would double-count sightings.  Compile failures (index -1)
+             are per-shard and exempt. *)
+          let seen = Hashtbl.create 64 in
+          let dup =
+            List.find_opt
+              (fun row ->
+                let i = Aggregate.row_index row in
+                if i < 0 then false
+                else if Hashtbl.mem seen i then true
+                else begin
+                  Hashtbl.add seen i ();
+                  false
+                end)
+              rows
+          in
+          match dup with
+          | Some row ->
+              refuse "run index %d appears more than once (overlapping shards?)"
+                (Aggregate.row_index row)
+          | None ->
+              (* The inverse of overlap: a missing shard or truncated
+                 tail leaves gaps, and the fold would silently produce a
+                 plausible report that is not the single-process one.
+                 Under a purely runs-based budget every index must be
+                 present; under a wall-clock or plateau budget runs
+                 legitimately never executed, so the gaps go back to the
+                 caller. *)
+              let missing = missing_indices sp0 rows in
+              let b = sp0.e_budget in
+              if missing <> [] && b.b_seconds = None && b.b_plateau = None then
+                refuse "%s — incomplete shard set or truncated input"
+                  (describe_missing sp0 missing)
+              else Ok (report_of_rows sp0 rows, missing)))
 
 let rows_of_report r =
   List.sort
@@ -453,8 +520,7 @@ let run_campaign ?shard ?batch ?(reuse_ctx = true) (sp : spec) ~source : report
     (* One run context per worker domain, alive for the whole campaign:
        the hot loop resets state in place instead of re-allocating a
        detector and a VM heap per run.  Reports are byte-identical
-       either way ([--no-ctx-reuse] exists to demonstrate exactly
-       that). *)
+       either way (test_run_ctx checks it). *)
     let ctx =
       if reuse_ctx then Some (Pipeline.Run_ctx.create compiled) else None
     in
@@ -694,29 +760,3 @@ let row_of_line = Wire.row_of_line
 let write_obs_channel = Wire.write_obs_channel
 let read_obs_channel = Wire.read_obs_channel
 let fold_obs_channel = Wire.fold_obs_channel
-
-(* ---- the legacy seed sweep, rebased on the engine ---- *)
-
-type sweep_result = {
-  sw_objects : (string * int) list;
-  sw_failures : (int * string) list;
-}
-
-let sweep ?(workers = 1) (config : Config.t) ~source ~seeds : sweep_result =
-  let seeds = Array.of_list seeds in
-  let sp =
-    Campaign.spec
-      ~strategy:(Strategy.Seeds seeds)
-      ~workers
-      ~budget:(runs_budget (Array.length seeds))
-      config
-  in
-  let r = run_campaign sp ~source in
-  {
-    sw_objects = r.r_objects;
-    sw_failures =
-      List.map
-        (fun (f : Aggregate.failure) ->
-          (f.Aggregate.f_seed, f.Aggregate.f_error))
-        r.r_failures;
-  }

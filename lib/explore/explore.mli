@@ -99,7 +99,7 @@ type report = {
       (** Deduped by (object, field, site-pair); each with first-seen
           seed/schedule. *)
   r_objects : (string * int) list;
-      (** Racy-object occurrence counts (the legacy sweep view). *)
+      (** Racy-object occurrence counts: runs reporting each object. *)
   r_failures : Aggregate.failure list;
       (** Runs that crashed (deadlock, step limit, …) — isolated, never
           fatal to the campaign. *)
@@ -154,8 +154,8 @@ val run_campaign :
     {!Drd_harness.Pipeline.Run_ctx.t} for the whole campaign, reset in
     place between runs instead of re-allocating detector and VM state
     per run.  Like [?batch], it is a pure throughput knob: reports are
-    byte-identical either way (the CLI's [--no-ctx-reuse] and CI's
-    fresh-vs-reused diff enforce this).
+    byte-identical either way (test_run_ctx's fresh-vs-reused campaign
+    matrix enforces this).
 
     A source that fails to compile raises
     {!Drd_harness.Pipeline.Compile_error} before any domain is spawned:
@@ -189,9 +189,29 @@ val report_of_rows :
     end here, which is why a merged report is byte-identical to a
     single-process one. *)
 
-val merge : spec -> Aggregate.row list -> report
-(** [report_of_rows spec rows] — fold rows collected from shard files
-    ([r_wall] is 0; render with [~timing:false]). *)
+val merge :
+  (string * spec * Aggregate.row list) list ->
+  (report * int list, string) result
+(** The checked merge behind [racedet merge] and serve [obs] sessions:
+    each input is [(name, spec, rows)], one shard file or stream.  The
+    first input's spec is the campaign's.  Refuses, with a message
+    naming the inputs, when
+    - there is no input;
+    - an input's spec is not {!compatible} with the first (mixed
+      equivalence modes are named as such);
+    - a run index appears in more than one row (overlapping shards;
+      negative indices are exempt);
+    - under a purely runs-based budget, a run index is
+      {!missing_indices} (an incomplete shard set).
+
+    Otherwise it folds every row with {!report_of_rows} ([r_wall] is 0;
+    render with [~timing:false]) and returns the report with the
+    missing indices, which are non-empty only under a wall-clock or
+    plateau budget, where runs legitimately never executed.  The caller
+    decides whether to warn about them. *)
+
+val describe_missing : spec -> int list -> string
+(** ["K of N run indices missing (i, j, ...)"], showing at most eight. *)
 
 val missing_indices : spec -> Aggregate.row list -> int list
 (** Run indices in [0 .. total_runs - 1] (the campaign's deterministic
@@ -258,17 +278,3 @@ val fold_obs_channel :
   (spec * string * 'a, string) result
 (** Streaming fold over an observation file; see
     {!Wire.fold_obs_channel}. *)
-
-(** {1 The legacy seed sweep} *)
-
-type sweep_result = {
-  sw_objects : (string * int) list;
-      (** [(object, runs-that-reported-it)], sorted by frequency. *)
-  sw_failures : (int * string) list;  (** [(seed, error)]. *)
-}
-
-val sweep :
-  ?workers:int -> Config.t -> source:string -> seeds:int list -> sweep_result
-(** The legacy schedule sweep (formerly [Pipeline.sweep]), rebased onto
-    the engine: run once per scheduler seed and aggregate the racy
-    objects. *)

@@ -18,7 +18,8 @@ type t =
       (** PCT-style priority scheduling with the given number of
           priority-change points (see {!Interp.policy}). *)
   | Seeds of int array
-      (** An explicit seed list (the legacy [sweep] entry point). *)
+      (** An explicit seed list, for library callers; the wire format
+          encodes it.  No CLI strategy name selects it. *)
 
 val name : t -> string
 

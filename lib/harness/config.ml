@@ -111,3 +111,10 @@ let all =
 
 let by_name name =
   List.find_opt (fun c -> String.lowercase_ascii c.name = String.lowercase_ascii name) all
+
+let detector_config c =
+  {
+    Drd_core.Detector.default_config with
+    use_cache = c.use_cache;
+    use_ownership = c.use_ownership;
+  }

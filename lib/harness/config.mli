@@ -71,3 +71,7 @@ val all : t list
 
 val by_name : string -> t option
 (** Case-insensitive lookup. *)
+
+val detector_config : t -> Drd_core.Detector.config
+(** The paper detector's knobs this configuration selects (cache and
+    ownership on or off, every other knob at its default). *)

@@ -218,14 +218,12 @@ type pooled_detector =
       (module Detector_intf.S with type t = 'a) * 'a
       -> pooled_detector
 
-let pool_detector (module D : Detector_intf.S) = Pooled ((module D), D.create ())
-
-(* A pooled, resettable run context: everything {!run} would otherwise
-   allocate per run — VM state, detector, collector, spec-handler memo
-   tables — created once per (worker, compiled) pair
-   and reset at the start of every run that uses it.  Reports from a
-   reused context are byte-identical to fresh-context runs; the tests,
-   the CI diff step and the explore bench all assert this. *)
+(* A pooled, resettable run context: everything {!run} needs per run —
+   VM state, detector, collector, spec-handler memo tables — created
+   once per (worker, compiled) pair and reset at the start of every run
+   that uses it.  A run without a context makes a fresh one, so reports
+   from a reused context are byte-identical to fresh-context runs by
+   construction; test_run_ctx asserts it. *)
 module Run_ctx = struct
   type t = {
     rc_compiled : compiled;
@@ -242,13 +240,7 @@ module Run_ctx = struct
       match c.config.Config.detector with
       | Config.Ours ->
           ( Some
-              (Detector.create
-                 ~config:
-                   {
-                     Detector.default_config with
-                     Detector.use_cache = c.config.Config.use_cache;
-                     use_ownership = c.config.Config.use_ownership;
-                   }
+              (Detector.create ~config:(Config.detector_config c.config)
                  collector),
             None )
       | (Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv ->
@@ -257,7 +249,8 @@ module Run_ctx = struct
             | Some e -> e
             | None -> assert false
           in
-          (None, Some (pool_detector entry.Registry.impl))
+          let (module D) = entry.Registry.impl in
+          (None, Some (Pooled ((module D), D.create ())))
       | Config.NoDetect -> (None, None)
     in
     {
@@ -271,17 +264,19 @@ module Run_ctx = struct
         | Config.Ours, Some sp -> Some (make_spec_state sp)
         | _ -> None);
     }
-
-  let compiled t = t.rc_compiled
 end
 
 let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     ?(site_stats = false) (c : compiled) : result =
-  (match ctx with
-  | Some x when x.Run_ctx.rc_compiled != c ->
-      invalid_arg
-        "Pipeline.run: run context belongs to a different compiled program"
-  | _ -> ());
+  (* Without a context the run gets a fresh one: one path either way. *)
+  let ctx =
+    match ctx with
+    | None -> Run_ctx.create c
+    | Some x when x.Run_ctx.rc_compiled != c ->
+        invalid_arg
+          "Pipeline.run: run context belongs to a different compiled program"
+    | Some x -> x
+  in
   let config = c.config in
   let events = ref 0 in
   let spec_events = ref 0 in
@@ -299,19 +294,13 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     f ~tid ~loc ~kind ~locks ~site
   in
   (* Pooled pieces come from the context, reset at the start of the
-     run; without a context they are created per run as before.  Only
-     the state this run will actually write is reset — a [detect:false]
-     (fingerprint-only) pass on a shared context must not pay for, or
-     disturb, the detector state a detecting run left behind. *)
-  let collector =
-    match ctx with
-    | Some x ->
-        if detect && config.Config.detector = Config.Ours then
-          Report.reset x.Run_ctx.rc_collector;
-        x.Run_ctx.rc_collector
-    | None -> Report.collector ()
-  in
-  let finishers = ref [] in
+     run.  Only the state this run will actually write is reset — a
+     [detect:false] (fingerprint-only) pass on a shared context must not
+     pay for, or disturb, the detector state a detecting run left
+     behind. *)
+  let collector = ctx.Run_ctx.rc_collector in
+  if detect && config.Config.detector = Config.Ours then
+    Report.reset collector;
   let sink =
     (* [detect = false] runs the same instrumented program (so the
        schedule is identical — NoDetect compiles without traces and
@@ -324,23 +313,8 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
     match config.Config.detector with
     | Config.NoDetect -> Sink.null
     | Config.Ours ->
-        let det =
-          match ctx with
-          | Some { Run_ctx.rc_det = Some det; _ } ->
-              Detector.reset det;
-              det
-          | _ ->
-              Detector.create
-                ~config:
-                  {
-                    Detector.default_config with
-                    Detector.use_cache = config.Config.use_cache;
-                    use_ownership = config.Config.use_ownership;
-                  }
-                collector
-        in
-        finishers :=
-          [ (fun () -> `Ours (Detector.stats det)) ];
+        let det = Option.get ctx.Run_ctx.rc_det in
+        Detector.reset det;
         (* Scalar calls: no Event.t allocated for events the cache or
            the ownership filter drops. *)
         let generic_event ~tid ~loc ~kind ~locks ~site =
@@ -374,13 +348,8 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
                  distinct-key count of a run's hot sites, small enough
                  that the per-run refill cost stays negligible for short
                  exploration replays. *)
-              let ss =
-                match ctx with
-                | Some { Run_ctx.rc_spec = Some ss; _ } ->
-                    reset_spec_state ss;
-                    ss
-                | _ -> make_spec_state sp
-              in
+              let ss = Option.get ctx.Run_ctx.rc_spec in
+              reset_spec_state ss;
               let memo = ss.ss_memo in
               let memo_idx key =
                 (key * 0x9E3779B1) lsr 11 land ((1 lsl memo_bits) - 1)
@@ -555,25 +524,12 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
           release = (fun ~tid ~lock -> Detector.on_release det ~thread:tid ~lock);
           thread_exit = (fun ~tid -> Detector.on_thread_exit det ~thread:tid);
         }
-    | (Config.Eraser | Config.ObjRace | Config.HappensBefore) as dv -> (
+    | Config.Eraser | Config.ObjRace | Config.HappensBefore -> (
         (* Every baseline goes through the registry's Detector_intf.S
-           module — no per-baseline plumbing.  A pooled instance is
-           reset; a fresh one is reset too, which is a no-op. *)
-        let pooled =
-          match ctx with
-          | Some { Run_ctx.rc_baseline = Some p; _ } -> p
-          | _ ->
-              let entry =
-                match Registry.of_detector dv with
-                | Some e -> e
-                | None -> assert false
-              in
-              pool_detector entry.Registry.impl
-        in
-        match pooled with
+           module — no per-baseline plumbing. *)
+        match Option.get ctx.Run_ctx.rc_baseline with
         | Pooled ((module D), d) ->
             D.reset d;
-            finishers := [ (fun () -> `Locs (D.racy_locs d)) ];
             sink_of_module (module D) d ~count)
   in
   let vm_config =
@@ -582,25 +538,24 @@ let run ?ctx ?vm ?tap ?(detect = true) ?(engine = (`Spec : engine))
   let sink = match tap with Some t -> Sink.tee sink t | None -> sink in
   let t0 = Unix.gettimeofday () in
   let r =
-    match (engine, ctx) with
+    match engine with
     (* [`Spec] and [`Linked] run the same image; they differ only in
        whether the sink installed a [spec] handler above.  [`Ref] is
        the frozen block interpreter and is never pooled — the context's
        detector-side state still is. *)
-    | (`Linked | `Spec), Some x ->
-        Interp.run_ctx ~config:vm_config ~sink x.Run_ctx.rc_vm
-    | (`Linked | `Spec), None -> Interp.run ~config:vm_config ~sink c.image
-    | `Ref, _ -> Interp_ref.run ~config:vm_config ~sink c.prog
+    | `Linked | `Spec ->
+        Interp.run_ctx ~config:vm_config ~sink ctx.Run_ctx.rc_vm
+    | `Ref -> Interp_ref.run ~config:vm_config ~sink c.prog
   in
   let wall = Unix.gettimeofday () -. t0 in
   let heap = r.Interp.r_heap in
   let racy_locs, detector_stats =
-    match !finishers with
-    | [ f ] -> (
-        match f () with
-        | `Ours stats -> (Report.racy_locs collector, Some stats)
-        | `Locs locs -> (locs, None))
-    | _ -> ([], None)
+    if not detect then ([], None)
+    else
+      match (ctx.Run_ctx.rc_det, ctx.Run_ctx.rc_baseline) with
+      | Some det, _ -> (Report.racy_locs collector, Some (Detector.stats det))
+      | None, Some (Pooled ((module D), d)) -> (D.racy_locs d, None)
+      | None, None -> ([], None)
   in
   let describe = Memloc.describe c.prog.Ir.p_tprog heap in
   let races = List.map describe racy_locs |> List.sort compare in
@@ -678,47 +633,14 @@ let run_source config source =
   let c = compile config ~source in
   (c, run c)
 
-(* The schedule sweep that used to live here (run once per scheduler
-   seed, aggregate racy objects) is now Drd_explore.Explore.sweep — a
-   thin wrapper over the parallel schedule-exploration engine. *)
-
 (* ---- post-mortem mode (paper Section 1) ---- *)
 
 (* Execute the instrumented program recording the event stream instead
    of detecting online. *)
 let record_log ?(engine = (`Linked : engine)) (c : compiled) :
-    Event_log.t * Interp.result =
+    Event_log.t * result =
   let log = Event_log.create () in
-  let sink =
-    {
-      Sink.access =
-        (fun ~tid ~loc ~kind ~locks ~site ->
-          Event_log.record log
-            (Event_log.Access
-               (Event.make_interned ~loc ~thread:tid ~locks ~kind ~site)));
-      acquire =
-        (fun ~tid ~lock -> Event_log.record log (Event_log.Acquire (tid, lock)));
-      release =
-        (fun ~tid ~lock -> Event_log.record log (Event_log.Release (tid, lock)));
-      thread_start =
-        (fun ~parent ~child ->
-          Event_log.record log (Event_log.Thread_start (parent, child)));
-      thread_join =
-        (fun ~joiner ~joinee ->
-          Event_log.record log (Event_log.Thread_join (joiner, joinee)));
-      thread_exit =
-        (fun ~tid -> Event_log.record log (Event_log.Thread_exit tid));
-      call = None;
-      spec = None;
-    }
-  in
-  let r =
-    match engine with
-    (* Recording installs no [spec] handler, so [`Spec] is [`Linked]. *)
-    | `Linked | `Spec ->
-        Interp.run ~config:(vm_config_of c.config) ~sink c.image
-    | `Ref -> Interp_ref.run ~config:(vm_config_of c.config) ~sink c.prog
-  in
+  let r = run ~tap:(Sink.event_log log) ~detect:false ~engine c in
   (log, r)
 
 (* Run the final detection phase off-line over a recorded log. *)
@@ -726,14 +648,7 @@ let detect_post_mortem (config : Config.t) (log : Event_log.t) :
     Report.collector * Detector.stats =
   let collector = Report.collector () in
   let det =
-    Detector.create
-      ~config:
-        {
-          Detector.default_config with
-          Detector.use_cache = config.Config.use_cache;
-          use_ownership = config.Config.use_ownership;
-        }
-      collector
+    Detector.create ~config:(Config.detector_config config) collector
   in
   Event_log.replay log det;
   (collector, Detector.stats det)

@@ -96,9 +96,6 @@ module Run_ctx : sig
   val create : compiled -> t
   (** Allocate a context sized for [compiled]'s configuration: the
       detector matching [config.detector], plus VM and spec state. *)
-
-  val compiled : t -> compiled
-  (** The program this context is bound to. *)
 end
 
 val run :
@@ -129,9 +126,10 @@ val run :
     [?site_stats:true] additionally counts events and fast-path drops
     per trace site (a small per-event cost; off by default).
 
-    [?ctx] runs inside a pooled {!Run_ctx.t} instead of allocating fresh
-    state: the context is reset at the start of the run, and the report
-    is byte-identical to a fresh-context run.  The returned [heap] and
+    [?ctx] runs inside a pooled {!Run_ctx.t}; without it the run gets
+    [Run_ctx.create compiled], so both take one path.  The context is
+    reset at the start of the run, and the report is byte-identical to
+    a fresh-context run.  The returned [heap] and
     [report] alias the context's state — read them before the next run
     on the same context.  Raises [Invalid_argument] if [ctx] was created
     from a different [compiled].  If the run raises
@@ -149,10 +147,12 @@ val static_peers_of_site : compiled -> Drd_core.Event.site_id -> string list
     ["Class.method:line (write f)"].  Empty when static analysis was
     not run. *)
 
-val record_log : ?engine:engine -> compiled -> Event_log.t * Interp.result
+val record_log : ?engine:engine -> compiled -> Event_log.t * result
 (** Post-mortem mode, phase 1 (paper Section 1): execute the
     instrumented program recording the full event stream instead of
-    detecting online.  [?engine] as in {!run}. *)
+    detecting online — {!run} with [~detect:false] and a
+    {!Drd_vm.Sink.event_log} tap.  [?engine] as in {!run} (default
+    [`Linked]). *)
 
 val detect_post_mortem :
   Config.t -> Event_log.t -> Report.collector * Detector.stats

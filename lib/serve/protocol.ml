@@ -105,25 +105,25 @@ let kind_json = function
   | Event.Read -> Wire.String "read"
   | Event.Write -> Wire.String "write"
 
-let lockset_json ls =
-  Wire.List (List.map (fun l -> Wire.Int l) (Lockset_id.to_sorted_list ls))
-
-(* The id-level twin of the CLI's named race JSON: the daemon only sees
-   the event stream, never the program, so sites/locks/locations stay
-   integers exactly as they appear in the log. *)
-let race_json (race : Report.race) =
+(* One race renderer for the daemon and [racedet run --json].  The
+   daemon only sees the event stream, never the program, so by default
+   sites, locks and locations stay integers exactly as they appear in
+   the log; the CLI passes namers and [extra] fields. *)
+let race_json ?(loc = fun l -> Wire.Int l) ?(site = fun s -> Wire.Int s)
+    ?(lock = fun l -> Wire.Int l) ?(extra = []) (race : Report.race) =
   let e = race.Report.current in
   let p = race.Report.prior in
+  let lockset ls = Wire.List (List.map lock (Lockset_id.to_sorted_list ls)) in
   Wire.Obj
-    [
-      ("location", Wire.Int race.Report.loc);
+    ([
+      ("location", loc race.Report.loc);
       ( "current",
         Wire.Obj
           [
             ("thread", Wire.Int e.Event.thread);
             ("kind", kind_json e.Event.kind);
-            ("site", Wire.Int e.Event.site);
-            ("locks", lockset_json e.Event.locks);
+            ("site", site e.Event.site);
+            ("locks", lockset e.Event.locks);
           ] );
       ( "prior",
         Wire.Obj
@@ -133,10 +133,11 @@ let race_json (race : Report.race) =
               | Event.Thread t -> Wire.Int t
               | _ -> Wire.String "multiple" );
             ("kind", kind_json p.Trie.p_kind);
-            ("site", Wire.Int p.Trie.p_site);
-            ("locks", lockset_json p.Trie.p_locks);
+            ("site", site p.Trie.p_site);
+            ("locks", lockset p.Trie.p_locks);
           ] );
     ]
+    @ extra)
 
 let race_frame ~session ~seq race =
   line "race"
@@ -169,7 +170,7 @@ let events_report_body ~races ~stats ~evictions =
     (Wire.Obj
        [
          ("kind", Wire.String "events");
-         ("races", Wire.List (List.map race_json races));
+         ("races", Wire.List (List.map (fun r -> race_json r) races));
          ("stats", stats_json stats);
          ("evictions", Wire.Int evictions);
        ])

@@ -43,13 +43,7 @@ let create ?pool ~id ~kind ~config ~eviction () =
     | Protocol.Events ->
         (* Mirror the one-shot post-mortem path (Pipeline.detect_post_mortem):
            same knobs, Per_location history — which eviction requires. *)
-        let dconfig =
-          {
-            Detector.default_config with
-            use_cache = config.Config.use_cache;
-            use_ownership = config.Config.use_ownership;
-          }
-        in
+        let dconfig = Config.detector_config config in
         let fresh () =
           let collector = Report.collector () in
           let detector = Detector.create ~config:dconfig ?eviction collector in
@@ -130,43 +124,6 @@ let feed_line t line =
   | E st -> feed_events t st line
   | O st -> feed_obs st line
 
-(* The same refusals [racedet merge] gives for a broken shard set:
-   duplicate run indices would double-count sightings; gaps under a
-   purely runs-based budget mean the stream was truncated. *)
-let check_rows spec rows =
-  let seen = Hashtbl.create 64 in
-  let dup =
-    List.find_opt
-      (fun row ->
-        let i = Aggregate.row_index row in
-        if i < 0 then false
-        else if Hashtbl.mem seen i then true
-        else begin
-          Hashtbl.add seen i ();
-          false
-        end)
-      rows
-  in
-  match dup with
-  | Some row ->
-      Error
-        (Printf.sprintf "run index %d appears more than once in the stream"
-           (Aggregate.row_index row))
-  | None -> (
-      let missing = Explore.missing_indices spec rows in
-      let b = spec.Explore.e_budget in
-      let pure_runs_budget =
-        b.Explore.b_seconds = None && b.Explore.b_plateau = None
-      in
-      match missing with
-      | _ :: _ when pure_runs_budget ->
-          Error
-            (Printf.sprintf
-               "%d of %d run indices missing — truncated stream? refusing \
-                to fold"
-               (List.length missing) b.Explore.b_runs)
-      | _ -> Ok ())
-
 let close t =
   match t.state with
   | E st ->
@@ -179,11 +136,12 @@ let close t =
       match st.spec with
       | None -> Error "obs session closed before its spec header line"
       | Some (spec, _target) -> (
-          let rows = List.rev st.rows_rev in
-          match check_rows spec rows with
+          (* The checked merge [racedet merge] runs, so a stream is
+             refused with the same words as a broken shard set; gaps
+             under a wall-clock or plateau budget are legitimate. *)
+          match Explore.merge [ (t.s_id, spec, List.rev st.rows_rev) ] with
           | Error _ as e -> e
-          | Ok () ->
-              let report = Explore.merge spec rows in
+          | Ok (report, _gaps) ->
               st.obs_races <-
                 report.Explore.r_stats.Aggregate.st_distinct_races;
               Ok (Explore.report_json ~timing:false report)))

@@ -133,3 +133,24 @@ let immutability im =
       (fun ~tid ~loc ~kind ~locks:_ ~site:_ ->
         Immutability.record im ~thread:tid ~loc ~kind);
   }
+
+(* Record every notification into a post-mortem event log (virtual-call
+   receiver events are not part of the log format). *)
+let event_log log =
+  let record = Event_log.record log in
+  {
+    access =
+      (fun ~tid ~loc ~kind ~locks ~site ->
+        record
+          (Event_log.Access
+             (Event.make_interned ~loc ~thread:tid ~locks ~kind ~site)));
+    acquire = (fun ~tid ~lock -> record (Event_log.Acquire (tid, lock)));
+    release = (fun ~tid ~lock -> record (Event_log.Release (tid, lock)));
+    thread_start =
+      (fun ~parent ~child -> record (Event_log.Thread_start (parent, child)));
+    thread_join =
+      (fun ~joiner ~joinee -> record (Event_log.Thread_join (joiner, joinee)));
+    thread_exit = (fun ~tid -> record (Event_log.Thread_exit tid));
+    call = None;
+    spec = None;
+  }

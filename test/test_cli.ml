@@ -105,7 +105,28 @@ let test_cli_misuse_is_exit_124 () =
   Alcotest.(check bool) "diagnostic lists the registry" true
     (contains err "paper");
   let code, _, _ = run [ "arena"; "-n"; "1"; "--fail-on-miss"; "bogus" ] in
-  Alcotest.(check int) "unknown --fail-on-miss detector: exit 124" 124 code
+  Alcotest.(check int) "unknown --fail-on-miss detector: exit 124" 124 code;
+  (* Out-of-range numbers are rejected where the flag is parsed: never
+     an uncaught Invalid_argument (exit 125), never a campaign of
+     failure rows, never a silent clamp. *)
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, out, err = run args in
+      Alcotest.(check int) (what ^ ": exit 124") 124 code;
+      Alcotest.(check string) (what ^ ": stdout clean") "" out;
+      Alcotest.(check bool) (what ^ ": diagnostic on stderr") true
+        (contains err "racedet:"))
+    [
+      [ "run"; "-b"; "needle"; "--quantum"; "0" ];
+      [ "run"; "-b"; "needle"; "--pct=-1" ];
+      [ "explore"; "-b"; "needle"; "-n"; "2"; "--quantum"; "0" ];
+      [ "explore"; "-b"; "needle"; "-n"; "2"; "--depth=-2" ];
+      [ "explore"; "-b"; "needle"; "-n"; "2"; "-w"; "0" ];
+      [ "explore"; "-b"; "needle"; "--runs=-1" ];
+      [ "explore"; "-b"; "needle"; "-n"; "2"; "--batch"; "0" ];
+      [ "arena"; "--programs=-1" ];
+    ]
 
 let test_compile_error_is_exit_124 () =
   (* A program that fails to compile is command-line misuse — the user

@@ -108,6 +108,28 @@ let report_bytes ~target r =
   ( Explore.report_text ~timing:false ~target r,
     Explore.report_json ~timing:false r )
 
+(* Shard rows through the wire, one input per shard, into the checked
+   merge [racedet merge] runs; a refusal or an unexpected gap fails. *)
+let wire_rows what r =
+  List.map
+    (fun row ->
+      match Explore.row_of_json (Explore.row_to_json row) with
+      | Ok row -> row
+      | Error m -> Alcotest.failf "%s: wire round-trip: %s" what m)
+    (Explore.rows_of_report r)
+
+let merge_shards what sp shard_rows =
+  match
+    Explore.merge
+      (List.mapi
+         (fun i rows -> (Printf.sprintf "shard%d" i, sp, rows))
+         shard_rows)
+  with
+  | Ok (merged, []) -> merged
+  | Ok (_, gaps) ->
+      Alcotest.failf "%s: %d unexpected gaps" what (List.length gaps)
+  | Error m -> Alcotest.failf "%s: merge refused: %s" what m
+
 let benchmark_source name =
   match H.Programs.find name with
   | Some b -> b.H.Programs.b_source
@@ -177,21 +199,14 @@ let test_pooled_shards_merge_identical () =
   let sp = pct_spec ~workers:3 ~runs:24 () in
   let whole = Explore.run_campaign sp ~source:needle_source in
   let shards = 3 in
-  let rows =
-    List.concat_map
-      (fun i ->
-        let r =
-          Explore.run_campaign ~shard:(i, shards) sp ~source:needle_source
-        in
-        List.map
-          (fun row ->
-            match Explore.row_of_json (Explore.row_to_json row) with
-            | Ok row -> row
-            | Error m -> Alcotest.failf "wire round-trip: %s" m)
-          (Explore.rows_of_report r))
-      [ 0; 1; 2 ]
+  let merged =
+    merge_shards "pooled" sp
+      (List.map
+         (fun i ->
+           wire_rows "pooled"
+             (Explore.run_campaign ~shard:(i, shards) sp ~source:needle_source))
+         [ 0; 1; 2 ])
   in
-  let merged = Explore.merge sp rows in
   let target = "-b needle" in
   Alcotest.(check (pair string string))
     "pooled shards merge byte-identical"
@@ -281,20 +296,15 @@ let test_shard_merge_identity () =
   let check_benchmark name source sp =
     let whole = Explore.run_campaign sp ~source in
     let shards = 4 in
-    let rows =
-      List.concat_map
-        (fun i ->
-          let r = Explore.run_campaign ~shard:(i, shards) sp ~source in
-          (* ... through the wire: encode each row, decode it back. *)
-          List.map
-            (fun row ->
-              match Explore.row_of_json (Explore.row_to_json row) with
-              | Ok row -> row
-              | Error m -> Alcotest.failf "%s: wire round-trip: %s" name m)
-            (Explore.rows_of_report r))
-        [ 0; 1; 2; 3 ]
+    (* ... through the wire: encode each row, decode it back. *)
+    let merged =
+      merge_shards name sp
+        (List.map
+           (fun i ->
+             wire_rows name
+               (Explore.run_campaign ~shard:(i, shards) sp ~source))
+           [ 0; 1; 2; 3 ])
     in
-    let merged = Explore.merge sp rows in
     let target = "-b " ^ name in
     Alcotest.(check string)
       (name ^ ": merged text report is byte-identical")
@@ -331,8 +341,8 @@ let test_shard_plateau_merge () =
   | s ->
       Alcotest.failf "single-process run did not plateau: %s"
         (Aggregate.describe_stop s));
-  let rows =
-    List.concat_map
+  let shard_rows =
+    List.map
       (fun i ->
         let r = Explore.run_campaign ~shard:(i, shards) sp ~source:needle_source in
         let rows = Explore.rows_of_report r in
@@ -345,8 +355,8 @@ let test_shard_plateau_merge () =
       [ 0; 1; 2; 3 ]
   in
   Alcotest.(check (list int)) "shards cover the whole index range" []
-    (Explore.missing_indices sp rows);
-  let merged = Explore.merge sp rows in
+    (Explore.missing_indices sp (List.concat shard_rows));
+  let merged = merge_shards "plateau" sp shard_rows in
   let target = "-b needle" in
   Alcotest.(check string) "merged text == single-process adaptive text"
     (Explore.report_text ~timing:false ~target whole)
@@ -411,19 +421,14 @@ let test_hb_shard_merge_identity () =
   Alcotest.(check bool) "the hb campaign actually pruned" true
     (whole.Explore.r_stats.Aggregate.st_pruned_runs > 0);
   let shards = 3 in
-  let rows =
-    List.concat_map
-      (fun i ->
-        let r = Explore.run_campaign ~shard:(i, shards) sp ~source:needle_source in
-        List.map
-          (fun row ->
-            match Explore.row_of_json (Explore.row_to_json row) with
-            | Ok row -> row
-            | Error m -> Alcotest.failf "wire round-trip: %s" m)
-          (Explore.rows_of_report r))
-      [ 0; 1; 2 ]
+  let merged =
+    merge_shards "hb" sp
+      (List.map
+         (fun i ->
+           wire_rows "hb"
+             (Explore.run_campaign ~shard:(i, shards) sp ~source:needle_source))
+         [ 0; 1; 2 ])
   in
-  let merged = Explore.merge sp rows in
   let target = "-b needle" in
   Alcotest.(check string) "merged hb text report is byte-identical"
     (Explore.report_text ~timing:false ~target whole)
@@ -432,19 +437,39 @@ let test_hb_shard_merge_identity () =
     (Explore.report_json ~timing:false whole)
     (Explore.report_json ~timing:false merged)
 
+let refused what needle = function
+  | Error m ->
+      Alcotest.(check bool) (what ^ ": " ^ m) true (contains_sub needle m)
+  | Ok _ -> Alcotest.failf "%s: merge accepted" what
+
 let test_equiv_mode_incompatible () =
   (* Shards recorded under different equivalence modes must not merge:
-     the spec compatibility check treats e_equiv as load-bearing. *)
+     the spec compatibility check treats e_equiv as load-bearing, and
+     the checked merge names the mixed modes. *)
   let raw = pct_spec ~runs:8 () in
   let hb = { raw with Explore.e_equiv = Explore.Hb } in
   Alcotest.(check bool) "raw vs hb specs are incompatible" false
     (Explore.compatible raw hb);
   Alcotest.(check bool) "same equiv is compatible" true
-    (Explore.compatible hb { hb with Explore.e_workers = 9 })
+    (Explore.compatible hb { hb with Explore.e_workers = 9 });
+  let rows =
+    Explore.rows_of_report (Explore.run_campaign raw ~source:needle_source)
+  in
+  let evens, odds =
+    List.partition (fun row -> Aggregate.row_index row mod 2 = 0) rows
+  in
+  refused "mixed equivalence" "mixed equivalence modes"
+    (Explore.merge [ ("a.obs", raw, evens); ("b.obs", hb, odds) ]);
+  refused "spec mismatch" "a.obs and b.obs describe different campaigns"
+    (Explore.merge
+       [ ("a.obs", raw, evens); ("b.obs", pct_spec ~runs:9 (), odds) ]);
+  refused "no input" "no observation input" (Explore.merge [])
 
 let test_missing_indices () =
   (* Merge-time completeness: dropping rows from a complete campaign
-     must surface exactly the dropped indices. *)
+     must surface exactly the dropped indices — a refusal under a
+     purely runs-based budget, a gap list handed back under a plateau
+     (or wall-clock) budget; a repeated index is always refused. *)
   let sp = pct_spec ~runs:8 () in
   let rows =
     Explore.rows_of_report (Explore.run_campaign sp ~source:needle_source)
@@ -459,7 +484,33 @@ let test_missing_indices () =
       rows
   in
   Alcotest.(check (list int)) "dropped indices are reported in order" [ 3; 5 ]
-    (Explore.missing_indices sp dropped)
+    (Explore.missing_indices sp dropped);
+  refused "gap under a runs budget" "2 of 8 run indices missing (3, 5)"
+    (Explore.merge [ ("a.obs", sp, dropped) ]);
+  refused "duplicate index" "run index 0 appears more than once"
+    (Explore.merge [ ("a.obs", sp, rows); ("b.obs", sp, rows) ]);
+  List.iter
+    (fun (what, budget) ->
+      let sp = { sp with Explore.e_budget = budget } in
+      let dropped =
+        List.filter
+          (fun row ->
+            let i = Aggregate.row_index row in
+            i <> 3 && i <> 5)
+          (Explore.rows_of_report
+             (Explore.run_campaign sp ~source:needle_source))
+      in
+      match Explore.merge [ ("a.obs", sp, dropped) ] with
+      | Ok (r, gaps) ->
+          Alcotest.(check (list int))
+            (what ^ ": gaps handed back") [ 3; 5 ] gaps;
+          Alcotest.(check int) (what ^ ": the present runs fold") 6
+            r.Explore.r_stats.Aggregate.st_runs
+      | Error m -> Alcotest.failf "%s: merge refused: %s" what m)
+    [
+      ("plateau budget", Explore.budget ~plateau:25 8);
+      ("wall-clock budget", Explore.budget ~seconds:600. 8);
+    ]
 
 let test_spec_wire_identity () =
   (* The spec a shard records is the spec merge folds under. *)

@@ -195,22 +195,30 @@ let test_seed_sweep_stability () =
     [ 1; 7; 99 ]
 
 let test_sweep_aggregation () =
-  (* The schedule sweep: the deterministic mtrt races appear in every
-     run; elevator reports nothing in any run. *)
+  (* The schedule sweep (seeds 1, 2, 3, as `racedet explore -s sweep
+     --seed 1 -n 3` runs it): the deterministic mtrt races appear in
+     every run; elevator reports nothing in any run. *)
+  let sweep source =
+    Explore.run_campaign
+      (Explore.spec ~strategy:Drd_explore.Strategy.Sweep
+         ~budget:(Explore.runs_budget 3)
+         { Config.full with Config.seed = 1 })
+      ~source
+  in
   let b = benchmark "mtrt" in
-  let sw =
-    Explore.sweep Config.full ~source:b.Programs.b_source ~seeds:[ 1; 2; 3 ]
-  in
+  let r = sweep b.Programs.b_source in
+  Alcotest.(check (list int)) "seeds 1-3" [ 1; 2; 3 ]
+    (List.map (fun o -> o.Drd_explore.Aggregate.o_seed) r.Explore.r_obs);
   Alcotest.(check (list (pair int string))) "no failures" []
-    sw.Explore.sw_failures;
+    (List.map
+       (fun f -> Drd_explore.Aggregate.(f.f_seed, f.f_error))
+       r.Explore.r_failures);
   Alcotest.(check int) "two objects, every seed" 2
-    (List.length (List.filter (fun (_, n) -> n = 3) sw.Explore.sw_objects));
+    (List.length (List.filter (fun (_, n) -> n = 3) r.Explore.r_objects));
   let e = benchmark "elevator" in
-  let sw =
-    Explore.sweep Config.full ~source:e.Programs.b_source ~seeds:[ 1; 2; 3 ]
-  in
+  let r = sweep e.Programs.b_source in
   Alcotest.(check (list (pair string int))) "elevator silent" []
-    sw.Explore.sw_objects
+    r.Explore.r_objects
 
 let test_sor_hoisting_claim () =
   (* Section 8.1: sor2 was derived from sor by hoisting subscripts, and

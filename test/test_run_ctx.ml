@@ -89,7 +89,8 @@ let test_campaign_matrix () =
   (* Campaign level: the worker pool holding one context per domain for
      the whole campaign ([reuse_ctx], the default) renders the same
      report as fresh per-run state, across both strategy families, both
-     equivalence modes and 1 vs 2 workers. *)
+     equivalence modes and 1 vs 2 workers, on tsp, needle and
+     elevator. *)
   let strategies = [ ("sweep", Strategy.Sweep); ("pct", Strategy.Pct 3) ] in
   let equivs = [ ("raw", Explore.Raw); ("hb", Explore.Hb) ] in
   List.iter
@@ -117,7 +118,7 @@ let test_campaign_matrix () =
                 [ 1; 2 ])
             equivs)
         strategies)
-    [ "tsp"; "needle" ]
+    [ "tsp"; "needle"; "elevator" ]
 
 (* A schedule-dependent crash: User dereferences G.data, which Setter
    publishes late, so some seeds die with a NullPointerException and

@@ -141,7 +141,9 @@ let test_obs_session_matches_merge () =
   let sp, r = needle_campaign () in
   let rows = E.Explore.rows_of_report r in
   let expected =
-    E.Explore.report_json ~timing:false (E.Explore.merge sp rows)
+    match E.Explore.merge [ ("obs", sp, rows) ] with
+    | Ok (merged, _) -> E.Explore.report_json ~timing:false merged
+    | Error m -> Alcotest.fail ("merge: " ^ m)
   in
   let s =
     S.Session.create ~id:"obs" ~kind:S.Protocol.Obs ~config:H.Config.full
@@ -164,21 +166,33 @@ let test_obs_session_errors () =
   (match S.Session.close s with
   | Error m -> Alcotest.(check bool) "names the header" true (contains m "header")
   | Ok _ -> Alcotest.fail "headerless close accepted");
-  (* A truncated stream under a purely runs-based budget is refused,
-     like racedet merge. *)
+  (* A truncated stream under a purely runs-based budget, and a
+     repeated run index, are refused in the words racedet merge uses:
+     both go through the one checked Explore.merge. *)
   let sp, r = needle_campaign () in
   let rows = E.Explore.rows_of_report r in
-  let s =
-    S.Session.create ~id:"o2" ~kind:S.Protocol.Obs ~config:H.Config.full
-      ~eviction:None ()
+  let refusal what rows =
+    let s =
+      S.Session.create ~id:"o2" ~kind:S.Protocol.Obs ~config:H.Config.full
+        ~eviction:None ()
+    in
+    ignore (feed_ok s (E.Explore.spec_to_json sp));
+    List.iter (fun row -> ignore (feed_ok s (E.Explore.row_to_json row))) rows;
+    let expected =
+      match E.Explore.merge [ ("o2", sp, rows) ] with
+      | Error m -> m
+      | Ok _ -> Alcotest.failf "%s: Explore.merge accepted" what
+    in
+    match S.Session.close s with
+    | Error m ->
+        Alcotest.(check string)
+          (what ^ " refused like racedet merge") expected m
+    | Ok _ -> Alcotest.failf "%s: obs stream folded" what
   in
-  ignore (feed_ok s (E.Explore.spec_to_json sp));
   (match rows with
-  | row :: _ -> ignore (feed_ok s (E.Explore.row_to_json row))
+  | row :: _ -> refusal "truncation" [ row ]
   | [] -> Alcotest.fail "campaign produced no rows");
-  match S.Session.close s with
-  | Error m -> Alcotest.(check bool) "truncation refused" true (contains m "missing")
-  | Ok _ -> Alcotest.fail "truncated obs stream folded"
+  refusal "duplicate index" (rows @ rows)
 
 (* ---- the stdin/stdout transport ---- *)
 

@@ -74,21 +74,7 @@ let has_class c meth cls =
    dropped event would show up as a log divergence). *)
 let observe engine c =
   let log = Event_log.create () in
-  let tap =
-    {
-      Sink.null with
-      Sink.access =
-        (fun ~tid ~loc ~kind ~locks ~site ->
-          Event_log.record log
-            (Event_log.Access
-               (Event.make_interned ~loc ~thread:tid ~locks ~kind ~site)));
-      acquire =
-        (fun ~tid ~lock -> Event_log.record log (Event_log.Acquire (tid, lock)));
-      release =
-        (fun ~tid ~lock -> Event_log.record log (Event_log.Release (tid, lock)));
-    }
-  in
-  let r = Pipeline.run ~tap ~engine c in
+  let r = Pipeline.run ~tap:(Sink.event_log log) ~engine c in
   (r, Event_log.entries log)
 
 let check_identity name c =

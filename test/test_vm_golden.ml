@@ -24,33 +24,6 @@ open Drd_core
 
 (* A sink recording every notification into an event log (the post-
    mortem recording sink, as a tap). *)
-let log_tap () =
-  let log = Event_log.create () in
-  let sink =
-    {
-      Sink.access =
-        (fun ~tid ~loc ~kind ~locks ~site ->
-          Event_log.record log
-            (Event_log.Access
-               (Event.make_interned ~loc ~thread:tid ~locks ~kind ~site)));
-      acquire =
-        (fun ~tid ~lock -> Event_log.record log (Event_log.Acquire (tid, lock)));
-      release =
-        (fun ~tid ~lock -> Event_log.record log (Event_log.Release (tid, lock)));
-      thread_start =
-        (fun ~parent ~child ->
-          Event_log.record log (Event_log.Thread_start (parent, child)));
-      thread_join =
-        (fun ~joiner ~joinee ->
-          Event_log.record log (Event_log.Thread_join (joiner, joinee)));
-      thread_exit =
-        (fun ~tid -> Event_log.record log (Event_log.Thread_exit tid));
-      call = None;
-      spec = None;
-    }
-  in
-  (sink, log)
-
 type obs = {
   o_error : string option; (* Runtime_error message, if the run died *)
   o_races : string list;
@@ -67,7 +40,8 @@ type obs = {
 }
 
 let observe ~engine compiled vm : obs =
-  let log_sink, log = log_tap () in
+  let log = Event_log.create () in
+  let log_sink = Sink.event_log log in
   let fp_sink, fp = Explore.fingerprint_tap () in
   let hb_sink, hb = Hb_fingerprint.tap () in
   let immut = Immutability.create () in
@@ -357,7 +331,7 @@ let test_record_log name source () =
   check_logs (name ^ " record_log") (Event_log.entries log_ref)
     (Event_log.entries log_lin);
   Alcotest.(check int)
-    (name ^ " record_log steps") r_ref.Interp.r_steps r_lin.Interp.r_steps
+    (name ^ " record_log steps") r_ref.Pipeline.steps r_lin.Pipeline.steps
 
 let suite =
   let strategies =
