@@ -267,18 +267,14 @@ let report_of_rows ?(wall = 0.) ?(deadline_hit = false) ?(apply_plateau = true)
    Negative indices (out-of-range markers from older recorders) are
    ignored. *)
 let missing_indices (sp : spec) rows =
-  let total =
-    match Strategy.count sp.e_strategy with
-    | Some n -> min n sp.e_budget.b_runs
-    | None -> sp.e_budget.b_runs
-  in
   let present = Hashtbl.create 64 in
   List.iter
     (fun row ->
       let i = Aggregate.row_index row in
       if i >= 0 then Hashtbl.replace present i ())
     rows;
-  List.init total Fun.id |> List.filter (fun i -> not (Hashtbl.mem present i))
+  List.init sp.e_budget.b_runs Fun.id
+  |> List.filter (fun i -> not (Hashtbl.mem present i))
 
 let describe_missing (sp : spec) missing =
   let shown =
@@ -460,15 +456,10 @@ let run_campaign ?shard ?batch ?(reuse_ctx = true) (sp : spec) ~source : report
         (i, n)
   in
   let b = sp.e_budget in
-  let total_runs =
-    match Strategy.count sp.e_strategy with
-    | Some n -> min n b.b_runs
-    | None -> b.b_runs
-  in
   (* Shard i of n owns the run indices congruent to i mod n; work
      ordinal k maps to index i + k*n, so indices are a pure function of
      the spec and the shard, never of scheduling. *)
-  let owned = Campaign.owned_count ~shard_i ~shard_n ~total:total_runs in
+  let owned = Campaign.owned_count ~shard_i ~shard_n ~total:b.b_runs in
   let workers = max 1 (min sp.e_workers owned) in
   let batch =
     match batch with

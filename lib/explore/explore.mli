@@ -214,9 +214,9 @@ val describe_missing : spec -> int list -> string
 (** ["K of N run indices missing (i, j, ...)"], showing at most eight. *)
 
 val missing_indices : spec -> Aggregate.row list -> int list
-(** Run indices in [0 .. total_runs - 1] (the campaign's deterministic
-    index range, [total_runs] being the run budget capped by the
-    strategy's intrinsic count) that no row covers, in ascending order.
+(** Run indices in [0 .. runs - 1] (the campaign's deterministic index
+    range, [runs] being the run budget) that no row covers, in ascending
+    order.
     Non-empty input to {!merge} means an incomplete shard set: with a
     purely runs-based budget the merged report would silently differ
     from the single-process run.  Rows with negative indices (markers

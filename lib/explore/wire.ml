@@ -419,24 +419,12 @@ let strategy_to_json = function
   | Strategy.Sweep -> Obj [ ("kind", String "sweep") ]
   | Strategy.Jitter -> Obj [ ("kind", String "jitter") ]
   | Strategy.Pct depth -> Obj [ ("kind", String "pct"); ("depth", Int depth) ]
-  | Strategy.Seeds seeds ->
-      Obj
-        [
-          ("kind", String "seeds");
-          ("seeds", List (Array.to_list seeds |> List.map (fun s -> Int s)));
-        ]
 
 let strategy_of_json j =
   match d_string "kind" j with
   | "sweep" -> Strategy.Sweep
   | "jitter" -> Strategy.Jitter
   | "pct" -> Strategy.Pct (d_int "depth" j)
-  | "seeds" ->
-      let seeds =
-        d_list "seeds" j
-        |> List.map (function Int s -> s | _ -> dfail "bad seed list")
-      in
-      Strategy.Seeds (Array.of_list seeds)
   | k -> dfail "unknown strategy %S" k
 
 let budget_to_json (b : Campaign.budget) =

@@ -203,9 +203,20 @@ let serve_channels conf ic oc =
 
 (* ---- Unix-socket transport ---- *)
 
+(* The longest line a socket client may send, newline excluded.  A
+   connection whose pending bytes pass it gets an error frame and is
+   dropped, so a client that never sends a newline holds at most this
+   much plus one read ([read_chunk]) of the daemon's memory. *)
+let max_line_bytes = 1 lsl 20
+
+let read_chunk = 65536
+
 type sconn = {
   sc_fd : Unix.file_descr;
-  sc_buf : Buffer.t;  (** bytes read but not yet split into lines *)
+  mutable sc_buf : Bytes.t;
+      (** [0, sc_len) holds bytes read but not yet split into lines;
+          none of them is a newline *)
+  mutable sc_len : int;
   sc_alive : bool ref;  (** cleared when a write hits a gone peer *)
   sc_conn : conn;
 }
@@ -227,7 +238,8 @@ let make_sconn fd =
   in
   {
     sc_fd = fd;
-    sc_buf = Buffer.create 65536;
+    sc_buf = Bytes.create read_chunk;
+    sc_len = 0;
     sc_alive = alive;
     sc_conn = { c_send = send; c_session = None; c_pool = Session.pool () };
   }
@@ -273,43 +285,67 @@ let serve_socket conf ~path ?ready () =
           try Unix.close sc.sc_fd with Unix.Unix_error _ -> ()
         end
       in
-      let process_buffer sc =
-        let s = Buffer.contents sc.sc_buf in
-        let len = String.length s in
-        let pos = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !pos < len do
-          match String.index_from_opt s !pos '\n' with
-          | None -> stop := true
-          | Some nl ->
-              let line = chomp_cr (String.sub s !pos (nl - !pos)) in
-              pos := nl + 1;
-              (match
-                 handle_line conf metrics sc.sc_conn ~live line
-               with
-              | Continue -> ()
-              | Shutdown_req ->
-                  running := false;
-                  stop := true
-              | Fatal _ ->
-                  finish_conn sc ~report:false;
-                  stop := true)
+      let too_long sc =
+        ignore
+          (fatal metrics sc.sc_conn
+             (Printf.sprintf "line longer than %d bytes" max_line_bytes)
+            : outcome);
+        finish_conn sc ~report:false
+      in
+      (* Split off and handle the complete lines in [0, len), where only
+         [from, len) was read since the last call: the bytes before it
+         were scanned then and hold no newline. *)
+      let process_buffer sc ~from len =
+        let buf = sc.sc_buf in
+        let start = ref 0 and i = ref from and stop = ref false in
+        while (not !stop) && !i < len do
+          if Bytes.unsafe_get buf !i <> '\n' then incr i
+          else if !i - !start > max_line_bytes then begin
+            too_long sc;
+            stop := true
+          end
+          else begin
+            let line = chomp_cr (Bytes.sub_string buf !start (!i - !start)) in
+            incr i;
+            start := !i;
+            match handle_line conf metrics sc.sc_conn ~live line with
+            | Continue -> ()
+            | Shutdown_req ->
+                running := false;
+                stop := true
+            | Fatal _ ->
+                finish_conn sc ~report:false;
+                stop := true
+          end
         done;
         if Hashtbl.mem conns sc.sc_fd then begin
-          let rest = String.sub s !pos (len - !pos) in
-          Buffer.clear sc.sc_buf;
-          Buffer.add_string sc.sc_buf rest
+          let rest = len - !start in
+          if !running && rest > max_line_bytes then too_long sc
+          else begin
+            if !start > 0 then Bytes.blit buf !start buf 0 rest;
+            sc.sc_len <- rest
+          end
         end
       in
-      let chunk = Bytes.create 65536 in
       let read_conn sc =
-        match Unix.read sc.sc_fd chunk 0 (Bytes.length chunk) with
+        let len = sc.sc_len in
+        if Bytes.length sc.sc_buf - len < read_chunk then begin
+          (* [len] is at most [max_line_bytes] here, so the buffer never
+             outgrows one capped line and one read. *)
+          let cap =
+            min
+              (max (2 * Bytes.length sc.sc_buf) (len + read_chunk))
+              (max_line_bytes + read_chunk)
+          in
+          let b = Bytes.create cap in
+          Bytes.blit sc.sc_buf 0 b 0 len;
+          sc.sc_buf <- b
+        end;
+        match Unix.read sc.sc_fd sc.sc_buf len read_chunk with
         | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
             finish_conn sc ~report:false
         | 0 -> finish_conn sc ~report:true
-        | n ->
-            Buffer.add_subbytes sc.sc_buf chunk 0 n;
-            process_buffer sc
+        | n -> process_buffer sc ~from:len (len + n)
       in
       let next_stats =
         ref

@@ -31,12 +31,18 @@ val serve_channels : conf -> in_channel -> out_channel -> (unit, string) result
     or payload) — the CLI maps this to the data-error exit code —
     after answering with an [error] frame. *)
 
+val max_line_bytes : int
+(** The longest line, newline excluded, that {!serve_socket} accepts
+    from a client: 1 MiB. *)
+
 val serve_socket :
   conf -> path:string -> ?ready:(unit -> unit) -> unit -> (unit, string) result
 (** Bind [path] (unlinking any stale socket first), call [ready] once
     listening (test/bench synchronization), and serve until a
     [shutdown] control frame arrives.  Connection-level input errors
-    answer with an [error] frame and drop that connection only, as
-    does a peer that hangs up: the process ignores SIGPIPE from the
+    answer with an [error] frame and drop that connection only — among
+    them a line longer than {!max_line_bytes}, refused as soon as that
+    many bytes are pending without a newline — as does a peer that
+    hangs up: the process ignores SIGPIPE from the
     moment the socket listens.  [Error] is reserved for failures to
     establish the socket. *)

@@ -43,6 +43,14 @@ open Link
      order the old [thread list] had), so [Random_walk]'s [List.nth]
      draw and PCT's lazy priority assignment consume the RNG
      identically;
+   - the decision is taken in place only while the ready set is provably
+     unchanged: same draws, same order.  Only a rare op or a thread's
+     final return can change which threads are ready, so those mark the
+     cached ready list stale and the next decision rescans; a slice that
+     ends on its budget with the list fresh takes the next decision
+     inside the slice loop ([reschedule], the one routine the outer
+     scheduler also calls) and, when the running thread is picked again,
+     carries on with a fresh budget instead of returning;
    - heap ids are allocated in the same order (objects, arrays, class
      objects on first touch, join pseudo-locks at thread creation), so
      every location and lock id matches.
@@ -161,7 +169,18 @@ type st = {
   mutable thread_of_obj : int array; (* heap id -> started tid, or -1 *)
   class_obj_ids : int array; (* class id -> per-class lock heap id, or -1 *)
   templates : Value.t array array; (* class id -> default field values *)
-  mutable ready_buf : int array; (* scratch: ready tids, newest first *)
+  mutable ready_buf : int array; (* ready tids, newest first *)
+  mutable nready : int; (* live prefix of [ready_buf] *)
+  mutable ready_fresh : bool;
+      (* [ready_buf] is the current ready set: cleared by every rare op
+         and every final return, set by [scan] *)
+  mutable next : int;
+      (* tid of the scheduler's pick for the next slice (an [int], so
+         the per-slice store needs no write barrier) *)
+  mutable next_n : int; (* ... and that slice's budget *)
+  mutable prio : int array; (* PCT priorities, tid-indexed *)
+  mutable pct_floor : int; (* PCT yield floor *)
+  mutable pct_points : (int * int) list; (* PCT change points (step, rank) *)
   frame_pool : frame list array; (* free frames, indexed by register count *)
   pseudo : Pseudo_lock.t;
   rng : Random.State.t;
@@ -469,6 +488,7 @@ let exec_ret st thr frame v =
   (match thr.t_frames with
   | [] ->
       thr.t_status <- Finished;
+      st.ready_fresh <- false;
       st.sink.Sink.thread_exit ~tid:thr.t_id
   | caller :: _ -> (
       match (frame.f_dst, value) with
@@ -489,6 +509,121 @@ let ready st t =
   | Blocked obj -> (match (monitor_of st obj).owner with None -> true | Some _ -> false)
   | Joining tid -> (
       match (find_thread st tid).t_status with Finished -> true | _ -> false)
+
+(* Scheduling policy.  PCT (Burckhardt et al., ASPLOS 2010): every
+   thread gets a random priority above [depth]; the scheduler always
+   runs the highest-priority ready thread; at [depth] pre-chosen step
+   counts within [horizon] the running thread's priority drops to the
+   rank of the change point (below every initial priority).  All
+   randomness comes from the seeded [st.rng], so a (seed, policy) pair
+   names one schedule exactly.
+
+   Priorities are indexed by tid (dense, never reused).  [min_int] marks
+   "not yet assigned" — real priorities are either non-negative (initial
+   draws, change-point ranks) or small negatives (the yield floor), so
+   the sentinel cannot collide. *)
+let prio_slot st tid =
+  if tid >= Array.length st.prio then begin
+    let b = Array.make (max 8 (2 * (tid + 1))) min_int in
+    Array.blit st.prio 0 b 0 (Array.length st.prio);
+    st.prio <- b
+  end;
+  st.prio
+
+let prio_of st t =
+  let a = prio_slot st t.t_id in
+  let p = a.(t.t_id) in
+  if p <> min_int then p
+  else begin
+    let depth = match st.cfg.policy with Pct { depth; _ } -> depth | _ -> 0 in
+    let p = depth + Random.State.int st.rng 0x3FFFFFFF in
+    a.(t.t_id) <- p;
+    p
+  end
+
+(* Highest priority wins; ties (vanishingly rare) go to the lowest
+   thread id for determinism.  This walks [ready_buf] in the order the
+   frozen interpreter's fold walked its ready list, with the comparison
+   written as the same two-binding [let] — lazy priority draws consume
+   the RNG identically.  After one pick over a list of two or more
+   threads every priority in it is assigned, so a repeated pick over the
+   same list draws nothing. *)
+let pick_pct st =
+  let best = ref st.threads.(st.ready_buf.(0)) in
+  for i = 1 to st.nready - 1 do
+    let t = st.threads.(st.ready_buf.(i)) in
+    let b = !best in
+    let pb = prio_of st b and pt = prio_of st t in
+    if pt > pb || (pt = pb && t.t_id < b.t_id) then best := t
+  done;
+  !best
+
+(* Rebuild the ready list: scan threads newest-first (the order the
+   block interpreter kept its thread list in — RNG consumption depends
+   on it).  Leaves [nready] at 0 only when every thread has finished;
+   live threads with none ready are a deadlock. *)
+let scan st =
+  if Array.length st.ready_buf < st.nthreads then
+    st.ready_buf <- Array.make (2 * st.nthreads) 0;
+  let nalive = ref 0 and nready = ref 0 and nwaiting = ref 0 in
+  for tid = st.nthreads - 1 downto 0 do
+    let t = st.threads.(tid) in
+    match t.t_status with
+    | Finished -> ()
+    | s ->
+        incr nalive;
+        (match s with Waiting _ -> incr nwaiting | _ -> ());
+        if ready st t then begin
+          st.ready_buf.(!nready) <- tid;
+          incr nready
+        end
+  done;
+  if !nalive > 0 && !nready = 0 then
+    if !nwaiting > 0 then
+      error
+        "deadlock: %d of %d remaining threads are stuck in wait() with no \
+         runnable thread left to notify them"
+        !nwaiting !nalive
+    else error "deadlock: no runnable thread among %d" !nalive;
+  st.nready <- !nready;
+  st.ready_fresh <- true
+
+(* The one scheduling decision, over a fresh ready list: close the slice
+   [t] just ran and pick the next into [st.next] / [st.next_n].  [t] is
+   [dummy_thread] before the first slice; [yielded] says its slice ended
+   at an [Lyield]; [same_list] that [t] was picked over this very list,
+   unchanged since.  [Random_walk] draws the thread, then the slice
+   length.  PCT first crosses at most one due change point and demotes a
+   yielder below the floor; a thread whose priority did not move stays
+   the highest-priority thread of an unchanged list, so it is kept
+   without a rescan of the priorities. *)
+let reschedule st t ~yielded ~same_list =
+  match st.cfg.policy with
+  | Random_walk ->
+      let k = Random.State.int st.rng st.nready in
+      st.next <- st.ready_buf.(k);
+      st.next_n <- 1 + Random.State.int st.rng st.cfg.quantum
+  | Pct _ ->
+      let crossed =
+        t != dummy_thread
+        &&
+        match st.pct_points with
+        | (steps_at, rank) :: rest when st.steps >= steps_at ->
+            (prio_slot st t.t_id).(t.t_id) <- rank;
+            st.pct_points <- rest;
+            true
+        | _ -> false
+      in
+      (* Yielders go below every change-point rank, most recent lowest:
+         round-robin among spinning threads. *)
+      if yielded then begin
+        st.pct_floor <- st.pct_floor - 1;
+        (prio_slot st t.t_id).(t.t_id) <- st.pct_floor
+      end;
+      st.next <-
+        (if same_list && not crossed && not yielded then t.t_id
+         else (pick_pct st).t_id);
+      st.next_n <- max st.cfg.quantum 1
 
 (* Enter a call: push the callee's frame with the arguments copied in.
    A virtual call reports its receiver to [Sink.call] and dispatches on
@@ -525,11 +660,21 @@ let spec_access st thr ~cell ~loc ~kind ~site =
   | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
   | None -> emit_access st thr ~loc ~kind ~site
 
-(* Run one scheduling slice of up to [n] instructions on thread [t].
-   Returns when the slice ends, the thread blocks, yields or finishes;
-   the result says whether the slice ended at a [Yield] (the PCT
-   scheduler deprioritizes the yielder so spin-wait loops cannot starve
-   the thread they are waiting on).
+(* How [run_slice] returned. *)
+type slice_end =
+  | Ended (* on its budget with a stale ready list, or blocked or finished *)
+  | Yielded (* at an [Lyield]: PCT deprioritizes the yielder so spin-wait
+               loops cannot starve the thread they are waiting on *)
+  | Decided (* on its budget, with the next slice already picked in place *)
+
+(* Run a slice of up to [n] instructions on thread [t], and the slices
+   after it for as long as the scheduler keeps picking [t].  A slice
+   that ends on its budget while the ready list is fresh takes the next
+   decision here, through [reschedule]: when [t] is picked again the
+   loop goes on with the fresh budget and its locals intact; otherwise
+   it returns [Decided] with the pick in [st.next], so the draw is never
+   repeated.  A yield ends the stretch without a decision: PCT must
+   demote the yielder first.
 
    Each step is one match on the slot's op: every arm executes its op,
    moves [pc] and evaluates to the slice budget it spent.  Terminators
@@ -545,11 +690,14 @@ let spec_access st thr ~cell ~loc ~kind ~site =
    step counts, PCT change points, the step-limit error and every
    runtime error land on the same slot as in the unfused stream. *)
 let run_slice st t n =
-  t.t_status <- Runnable;
+  (* A blocked or joining thread is picked only once it can proceed.
+     Tested first: the store is a write barrier, and most slices start
+     on a thread that is already [Runnable]. *)
+  (match t.t_status with Runnable -> () | _ -> t.t_status <- Runnable);
   let max_steps = st.cfg.max_steps in
   let all_accesses = st.cfg.all_accesses in
   let continue_ = ref true in
-  let yielded = ref false in
+  let ended = ref Ended in
   let budget = ref n in
   while
     !continue_ && !budget > 0
@@ -781,7 +929,7 @@ let run_slice st t n =
             | Lyield ->
                 incr pc;
                 continue_ := false;
-                yielded := true;
+                ended := Yielded;
                 inner := false;
                 1
             | Ltrace_field (o, index, kind, site) ->
@@ -908,6 +1056,7 @@ let run_slice st t n =
                 else incr pc;
                 1
             | op ->
+                st.ready_fresh <- false;
                 if exec_rare st t frame regs op !pc then begin
                   incr pc;
                   1
@@ -921,13 +1070,26 @@ let run_slice st t n =
           in
           if spent > 0 then begin
             budget := !budget - spent;
-            if !budget <= 0 then inner := false
+            if !budget <= 0 then
+              if !continue_ && st.ready_fresh then begin
+                (* The slice ended on its budget and no thread's
+                   readiness can have changed since the last scan. *)
+                st.steps <- !steps;
+                reschedule st t ~yielded:false ~same_list:true;
+                if st.next = t.t_id then budget := st.next_n
+                else begin
+                  ended := Decided;
+                  continue_ := false;
+                  inner := false
+                end
+              end
+              else inner := false
           end
         done;
         frame.f_pc <- !pc;
         st.steps <- !steps
   done;
-  !yielded
+  !ended
 
 (* A resettable run context: every array and table one execution needs,
    allocated once and reused across runs.  [run_ctx] resets it at the
@@ -1013,6 +1175,7 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
   reset_ctx cx;
   cx.cx_used <- true;
   let image = cx.cx_image in
+  let rng = Random.State.make [| config.seed |] in
   let st =
     {
       image;
@@ -1032,130 +1195,49 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
       class_obj_ids = cx.cx_class_obj_ids;
       templates = cx.cx_templates;
       ready_buf = cx.cx_ready_buf;
+      nready = 0;
+      ready_fresh = false;
+      next = -1;
+      next_n = 0;
+      prio = cx.cx_prio;
+      pct_floor = 0;
+      (* Drawn before the first decision, the order the RNG has always
+         been consumed in. *)
+      pct_points =
+        (match config.policy with
+        | Random_walk -> []
+        | Pct { depth; horizon } ->
+            List.init depth (fun rank ->
+                (1 + Random.State.int rng (max horizon 1), rank))
+            |> List.sort compare);
       (* Survives resets on purpose: parked frames carry no state a
          reuse does not overwrite, and their registers are refilled with
          [Vnull] before handing them out. *)
       frame_pool = cx.cx_frame_pool;
       pseudo = cx.cx_pseudo;
-      rng = Random.State.make [| config.seed |];
+      rng;
       steps = 0;
       prints = [];
     }
   in
   let main = image.i_methods.(image.i_main) in
   ignore (new_thread st [ alloc_frame st main None ]);
-  (* Scheduling policy (PCT state lives outside the thread records).
-     PCT (Burckhardt et al., ASPLOS 2010): every thread gets a random
-     priority above [depth]; the scheduler always runs the
-     highest-priority ready thread; at [depth] pre-chosen step counts
-     within [horizon] the running thread's priority drops to the rank of
-     the change point (below every initial priority).  All randomness
-     comes from the seeded [st.rng], so a (seed, policy) pair names one
-     schedule exactly. *)
-  (* Thread priorities, indexed by tid (dense, never reused).  [min_int]
-     marks "not yet assigned" — real priorities are either non-negative
-     (initial draws, change-point ranks) or small negatives (the yield
-     floor), so the sentinel cannot collide. *)
-  let pct_prio = ref (Array.make 8 min_int) in
-  let prio_slot tid =
-    if tid >= Array.length !pct_prio then begin
-      let b = Array.make (max 8 (2 * (tid + 1))) min_int in
-      Array.blit !pct_prio 0 b 0 (Array.length !pct_prio);
-      pct_prio := b
-    end;
-    !pct_prio
-  in
-  (* Monotonically decreasing floor for yield-deprioritization: change
-     points assign ranks 0..depth-1, so yielders go below them, most
-     recent lowest — round-robin among spinning threads. *)
-  let pct_floor = ref 0 in
-  let pct_points =
-    ref
-      (match config.policy with
-      | Random_walk -> []
-      | Pct { depth; horizon } ->
-          List.init depth (fun rank ->
-              (1 + Random.State.int st.rng (max horizon 1), rank))
-          |> List.sort compare)
-  in
-  let prio_of t =
-    let a = prio_slot t.t_id in
-    let p = a.(t.t_id) in
-    if p <> min_int then p
-    else begin
-      let depth =
-        match config.policy with Pct { depth; _ } -> depth | _ -> 0
-      in
-      let p = depth + Random.State.int st.rng 0x3FFFFFFF in
-      a.(t.t_id) <- p;
-      p
-    end
-  in
-  let pick_pct nready =
-    (* Highest priority wins; ties (vanishingly rare) go to the lowest
-       thread id for determinism.  This walks [ready_buf] in the order
-       the frozen interpreter's fold walked its ready list, with the
-       comparison written as the same two-binding [let] — lazy priority
-       draws consume the RNG identically. *)
-    let best = ref st.threads.(st.ready_buf.(0)) in
-    for i = 1 to nready - 1 do
-      let t = st.threads.(st.ready_buf.(i)) in
-      let b = !best in
-      let pb = prio_of b and pt = prio_of t in
-      if pt > pb || (pt = pb && t.t_id < b.t_id) then best := t
-    done;
-    !best
-  in
-  let cross_change_points t =
-    match !pct_points with
-    | (steps_at, rank) :: rest when st.steps >= steps_at ->
-        (prio_slot t.t_id).(t.t_id) <- rank;
-        pct_points := rest
-    | _ -> ()
-  in
-  (* One scheduling decision: scan threads newest-first (the order the
-     block interpreter kept its thread list in — RNG consumption depends
-     on it) into the reusable ready buffer, then let the policy pick. *)
-  let rec loop () =
-    if Array.length st.ready_buf < st.nthreads then
-      st.ready_buf <- Array.make (2 * st.nthreads) 0;
-    let nalive = ref 0 and nready = ref 0 and nwaiting = ref 0 in
-    for tid = st.nthreads - 1 downto 0 do
-      let t = st.threads.(tid) in
-      match t.t_status with
-      | Finished -> ()
-      | s ->
-          incr nalive;
-          (match s with Waiting _ -> incr nwaiting | _ -> ());
-          if ready st t then begin
-            st.ready_buf.(!nready) <- tid;
-            incr nready
-          end
-    done;
-    if !nalive > 0 then begin
-      (if !nready = 0 then
-         if !nwaiting > 0 then
-           error
-             "deadlock: %d of %d remaining threads are stuck in wait() with \
-              no runnable thread left to notify them"
-             !nwaiting !nalive
-         else error "deadlock: no runnable thread among %d" !nalive);
-      (match config.policy with
-      | Random_walk ->
-          let k = Random.State.int st.rng !nready in
-          let t = st.threads.(st.ready_buf.(k)) in
-          let n = 1 + Random.State.int st.rng config.quantum in
-          ignore (run_slice st t n : bool)
-      | Pct _ ->
-          let t = pick_pct !nready in
-          let yielded = run_slice st t (max config.quantum 1) in
-          cross_change_points t;
-          if yielded then begin
-            decr pct_floor;
-            (prio_slot t.t_id).(t.t_id) <- !pct_floor
-          end);
-      loop ()
-    end
+  (* [t] is the thread whose slice just ended.  A [Decided] slice has
+     already picked its successor; any other end closes it here, over a
+     ready list rescanned if a rare op or a final return made it stale. *)
+  let rec loop t ended =
+    match ended with
+    | Decided ->
+        let t = st.threads.(st.next) in
+        loop t (run_slice st t st.next_n)
+    | Ended | Yielded ->
+        if not st.ready_fresh then scan st;
+        if st.nready > 0 then begin
+          let yielded = match ended with Yielded -> true | _ -> false in
+          reschedule st t ~yielded ~same_list:false;
+          let t = st.threads.(st.next) in
+          loop t (run_slice st t st.next_n)
+        end
   in
   (* The run may replace the growable arrays ([ensure], [new_thread],
      [prio_slot] all reallocate on demand); write them back to the
@@ -1169,8 +1251,8 @@ let run_ctx ?(config = default_config) ~sink (cx : ctx) : result =
       cx.cx_obj_cls <- st.obj_cls;
       cx.cx_thread_of_obj <- st.thread_of_obj;
       cx.cx_ready_buf <- st.ready_buf;
-      cx.cx_prio <- !pct_prio)
-    loop;
+      cx.cx_prio <- st.prio)
+    (fun () -> loop dummy_thread Ended);
   {
     r_prints = List.rev st.prints;
     r_steps = st.steps;

@@ -386,6 +386,50 @@ let test_socket_early_close () =
       Alcotest.(check bool) "next client still served" true
         (contains r "\"session\":\"after\""))
 
+(* A client that streams one line past the cap, newline or not, gets an
+   error frame and loses its connection, and the daemon's other clients
+   are unaffected.  The cap is checked as bytes arrive, so the error
+   comes before the line ends. *)
+let test_socket_giant_line () =
+  with_daemon default_conf (fun connect ->
+      let before = session_report connect "x" racy_payload in
+      let giant ~newline =
+        let ic, oc = connect () in
+        (* A daemon without the cap would never answer: fail, not hang. *)
+        Unix.setsockopt_float (Unix.descr_of_in_channel ic) Unix.SO_RCVTIMEO
+          30.;
+        let fill = String.make 65536 'A' in
+        (try
+           send oc [ hello "giant" ];
+           for _ = 1 to (S.Server.max_line_bytes / 65536) + 1 do
+             output_string oc fill
+           done;
+           if newline then output_char oc '\n';
+           flush oc
+         with Sys_error _ -> () (* the daemon may hang up mid-write *));
+        let rec error_frame () =
+          let l = input_line ic in
+          if contains l "\"t\":\"error\"" then l else error_frame ()
+        in
+        let e = error_frame () in
+        Alcotest.(check bool)
+          "error frame names the cap" true
+          (contains e
+             (Printf.sprintf "line longer than %d bytes"
+                S.Server.max_line_bytes));
+        Alcotest.(check bool)
+          "connection dropped" true
+          (match input_line ic with
+          | exception (End_of_file | Sys_error _) -> true
+          | _ -> false);
+        close_in_noerr ic
+      in
+      giant ~newline:false;
+      giant ~newline:true;
+      Alcotest.(check string)
+        "another client's report is unchanged" before
+        (session_report connect "x" racy_payload))
+
 let int_field path j =
   match
     List.fold_left (fun j k -> Option.bind j (W.member k)) (Some j) path
@@ -509,6 +553,8 @@ let suite =
         test_socket_smoke ());
     Alcotest.test_case "unix socket: early-closing clients" `Quick (fun () ->
         test_socket_early_close ());
+    Alcotest.test_case "unix socket: giant line is refused" `Quick (fun () ->
+        test_socket_giant_line ());
     Alcotest.test_case "unix socket soak: bounded and byte-identical" `Quick
       (fun () -> test_socket_soak ());
   ]

@@ -322,6 +322,111 @@ let test_pct_change_points () =
       done)
     [ 2; 3 ]
 
+(* The scheduler takes a decision inside the slice loop when a slice
+   ends on its budget and no thread's readiness can have changed, and
+   rescans otherwise.  This program puts a slice end on every kind of
+   boundary that matters to that choice: a yield (which must end the
+   stretch so PCT can demote the yielder), a call and a return, a
+   thread's final return, a monitor exit, wait and notify, start and
+   join.  Quanta 1-4 end slices on each of them in turn. *)
+let slice_boundary_source =
+  {|
+  class Box {
+    int v;
+    boolean full;
+    synchronized void put(int x) {
+      while (full) { this.wait(); }
+      v = x;
+      full = true;
+      this.notifyAll();
+    }
+    synchronized int take() {
+      while (!full) { this.wait(); }
+      full = false;
+      this.notify();
+      return v;
+    }
+  }
+  class Flag { boolean up; int hits; }
+  class P extends Thread {
+    Box b; Flag f;
+    int twice(int x) { return x + x; }
+    void run() {
+      for (int i = 0; i < 4; i = i + 1) { b.put(twice(i)); }
+      int s = 0;
+      for (int i = 0; i < 8; i = i + 1) { s = s + twice(i); }
+      f.up = true;
+      f.hits = f.hits + s;
+    }
+  }
+  class C extends Thread {
+    Box b; Flag f; int sum;
+    void run() {
+      for (int i = 0; i < 4; i = i + 1) { sum = sum + b.take(); }
+      while (!f.up) { Thread.yield(); }
+      f.hits = f.hits + 1;
+    }
+  }
+  class Main {
+    static void main() {
+      Box b = new Box(); Flag f = new Flag();
+      P p = new P(); p.b = b; p.f = f;
+      C c = new C(); c.b = b; c.f = f;
+      p.start(); c.start();
+      p.join(); c.join();
+      print("sum", c.sum);
+    }
+  }
+|}
+
+let test_slice_boundaries ~pct quantum () =
+  let compiled = compiled_of "slice-boundaries" slice_boundary_source in
+  let code =
+    Array.to_list compiled.Pipeline.image.Link.i_methods
+    |> List.map (fun (m : Link.lmethod) -> m.Link.m_code)
+    |> Array.concat
+  in
+  List.iter
+    (fun (kind, is) ->
+      if not (Array.exists is code) then
+        Alcotest.failf "the program no longer links a %s" kind)
+    [
+      ("yield", function Link.Lyield -> true | _ -> false);
+      ("call", function Link.Lcall _ -> true | _ -> false);
+      ("return", function Link.Lret _ -> true | _ -> false);
+      ("monitor exit", function Link.Lmonitorexit _ -> true | _ -> false);
+      ("wait", function Link.Lwait _ -> true | _ -> false);
+      ("notify", function Link.Lnotify _ -> true | _ -> false);
+      ("thread start", function Link.Lthreadstart _ -> true | _ -> false);
+      ("thread join", function Link.Lthreadjoin _ -> true | _ -> false);
+    ];
+  let base =
+    { (Pipeline.vm_config_of compiled.Pipeline.config) with Interp.quantum }
+  in
+  let total = (observe ~engine:`Ref compiled base).o_steps in
+  for seed = 0 to 19 do
+    let vm =
+      {
+        base with
+        Interp.seed;
+        policy =
+          (if pct then Interp.Pct { depth = total / 4; horizon = total }
+           else Interp.Random_walk);
+      }
+    in
+    let a =
+      same_three_ways
+        (Printf.sprintf "%s quantum %d seed %d"
+           (if pct then "pct" else "random-walk")
+           quantum seed)
+        compiled vm
+    in
+    Alcotest.(check (option string)) "run completes" None a.o_error;
+    Alcotest.(check bool)
+      "the consumer took every item" true
+      (a.o_prints = [ ("sum", Some (Value.Vint 12)) ])
+  done
+
 let test_record_log name source () =
   (* The post-mortem recording path proper (not just its sink as a tap)
      must also be engine-independent. *)
@@ -363,3 +468,15 @@ let suite =
       Alcotest.test_case "dense pct change points byte-identical" `Quick
         test_pct_change_points;
     ]
+  @ List.concat_map
+      (fun pct ->
+        List.map
+          (fun quantum ->
+            Alcotest.test_case
+              (Printf.sprintf "slice boundaries %s quantum %d byte-identical"
+                 (if pct then "pct" else "random-walk")
+                 quantum)
+              `Quick
+              (test_slice_boundaries ~pct quantum))
+          [ 1; 2; 3; 4 ])
+      [ false; true ]

@@ -73,9 +73,6 @@ let gen_strategy =
         return Strategy.Sweep;
         return Strategy.Jitter;
         map (fun d -> Strategy.Pct d) (int_range 1 8);
-        map
-          (fun seeds -> Strategy.Seeds (Array.of_list seeds))
-          (list_size (int_bound 6) (int_range 0 1000));
       ])
 
 let gen_budget =
@@ -303,6 +300,28 @@ let test_v1_spec_decodes_as_raw () =
       Alcotest.(check bool) "decodes equal to the raw-equivalence spec" true
         (Campaign.equal_spec spec spec')
 
+(* The explicit seed-list strategy is gone: a spec header naming it gets
+   the same decode error as any other unknown strategy. *)
+let test_seeds_strategy_rejected () =
+  let spec =
+    {
+      (Campaign.default_spec H.Config.full) with
+      Campaign.e_strategy = Strategy.Sweep;
+    }
+  in
+  let line =
+    Wire.spec_to_json ~target:"-b needle" spec
+    |> Astring_contains.replace ~sub:{|{"kind":"sweep"}|}
+         ~by:{|{"kind":"seeds","seeds":[1,2,3]}|}
+  in
+  Alcotest.(check bool) "rewrite named the seeds strategy" true
+    (contains_sub {|"seeds"|} line);
+  match Wire.spec_of_json line with
+  | Ok _ -> Alcotest.fail "a seeds spec header decoded"
+  | Error m ->
+      Alcotest.(check string) "unknown-strategy error"
+        {|unknown strategy "seeds"|} m
+
 (* The previous release's envelope check, frozen: it accepted only
    v = 1.  New rows must bounce off it with the future-version error —
    that error message (and the re-record advice) is the forward-compat
@@ -498,6 +517,8 @@ let suite =
         test_v1_obs_row_decodes;
       Alcotest.test_case "v1 spec headers decode as raw equivalence" `Quick
         test_v1_spec_decodes_as_raw;
+      Alcotest.test_case "seeds strategy is an unknown strategy" `Quick
+        test_seeds_strategy_rejected;
       Alcotest.test_case "v2 rows bounce off a frozen v1 decoder" `Quick
         test_v2_rows_rejected_by_frozen_v1_decoder;
       Alcotest.test_case "malformed lines rejected" `Quick
