@@ -82,6 +82,16 @@ let to_channel oc t =
       output_char oc '\n')
     t
 
+(* Quote a piece of an offending line for an error message, at most
+   [quote_limit] bytes of it: the daemon sends the message back as a
+   frame, so a huge junk line must not come back whole (and twice). *)
+let quote_limit = 64
+
+let quote s =
+  let n = String.length s in
+  if n <= quote_limit then Printf.sprintf "%S" s
+  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 quote_limit) n
+
 (* The single-line decoder every consumer shares: the whole-file parser
    below and the streaming daemon, which feeds one line at a time as it
    arrives on a socket and must never buffer the stream. *)
@@ -89,11 +99,13 @@ let entry_of_line line =
   if String.trim line = "" then Ok None
   else begin
     let exception Bad of string in
-    let fail reason = raise (Bad (Printf.sprintf "%s in %S" reason line)) in
+    let fail reason =
+      raise (Bad (Printf.sprintf "%s in %s" reason (quote line)))
+    in
     let int_field name s =
       match int_of_string_opt s with
       | Some n -> n
-      | None -> fail (Printf.sprintf "%s %S is not an integer" name s)
+      | None -> fail (Printf.sprintf "%s %s is not an integer" name (quote s))
     in
     let parts = String.split_on_char ' ' (String.trim line) in
     match
@@ -103,7 +115,7 @@ let entry_of_line line =
             match kind with
             | "R" -> Event.Read
             | "W" -> Event.Write
-            | k -> fail (Printf.sprintf "access kind %S is not R or W" k)
+            | k -> fail (Printf.sprintf "access kind %s is not R or W" (quote k))
           in
           (* Intern at the parse boundary: replaying a parsed log
              hits exactly the same interned-id hot path as the
@@ -126,9 +138,9 @@ let entry_of_line line =
       | tag :: _ ->
           fail
             (Printf.sprintf
-               "unknown entry tag %S (expected A, L, U, S, J or X) or \
+               "unknown entry tag %s (expected A, L, U, S, J or X) or \
                 wrong field count"
-               tag)
+               (quote tag))
       | [] -> fail "empty entry"
     with
     | entry -> Ok (Some entry)

@@ -48,7 +48,9 @@ val entry_to_line : entry -> string
 val entry_of_line : string -> (entry option, string) result
 (** Parse one line of the text format: [Ok None] for a blank line,
     [Ok (Some e)] for an entry, [Error msg] (naming the offending field
-    and quoting the line) for malformed input.  This is the streaming
+    and quoting the line) for malformed input.  A quoted line or field
+    longer than 64 bytes is cut to its first 64 bytes followed by
+    ["... (N bytes)"], so the message stays short whatever the input.  This is the streaming
     entry point — the serve daemon decodes each line as it arrives
     without buffering the stream; {!of_channel} is a fold over it. *)
 

@@ -149,6 +149,67 @@ let live_of_conn conn () =
   | None -> (0, 0, 0)
   | Some s -> (Session.live_locations s, Session.races s, Session.evictions s)
 
+(* ---- line input, shared by both transports ---- *)
+
+(* The longest line a client may send, newline excluded.  A client
+   whose pending bytes pass it gets an error frame and is dropped (on
+   stdin, the daemon ends with an error), so a client that never sends
+   a newline holds at most this much plus one read ([read_chunk]) of
+   the daemon's memory. *)
+let max_line_bytes = 1 lsl 20
+
+let read_chunk = 65536
+let line_too_long = Printf.sprintf "line longer than %d bytes" max_line_bytes
+
+(* [input_line] on [ic] with the [max_line_bytes] cap: a line that
+   passes it is refused as soon as its bytes do, never read whole.  A
+   last line without a newline is returned as a line, as [input_line]
+   does. *)
+let line_reader ic =
+  let chunk = Bytes.create read_chunk in
+  let pos = ref 0 and len = ref 0 in
+  let partial = Buffer.create 256 in
+  let rec next () =
+    if !pos >= !len then begin
+      pos := 0;
+      len := input ic chunk 0 read_chunk
+    end;
+    if !len = 0 then
+      if Buffer.length partial = 0 then `Eof
+      else begin
+        let line = Buffer.contents partial in
+        Buffer.clear partial;
+        `Line line
+      end
+    else begin
+      let i = ref !pos in
+      while !i < !len && Bytes.unsafe_get chunk !i <> '\n' do
+        incr i
+      done;
+      let n = !i - !pos in
+      if Buffer.length partial + n > max_line_bytes then `Too_long
+      else if !i = !len then begin
+        Buffer.add_subbytes partial chunk !pos n;
+        pos := !len;
+        next ()
+      end
+      else begin
+        let line =
+          if Buffer.length partial = 0 then Bytes.sub_string chunk !pos n
+          else begin
+            Buffer.add_subbytes partial chunk !pos n;
+            let line = Buffer.contents partial in
+            Buffer.clear partial;
+            line
+          end
+        in
+        pos := !i + 1;
+        `Line line
+      end
+    end
+  in
+  next
+
 (* ---- stdin/stdout transport ---- *)
 
 let serve_channels conf ic oc =
@@ -169,10 +230,15 @@ let serve_channels conf ic oc =
   let since_check = ref 0 in
   let result = ref (Ok ()) in
   let continue = ref true in
+  let read_line = line_reader ic in
   while !continue do
-    match input_line ic with
-    | exception End_of_file -> continue := false
-    | line ->
+    match read_line () with
+    | `Eof -> continue := false
+    | `Too_long ->
+        ignore (fatal metrics conn line_too_long : outcome);
+        result := Error line_too_long;
+        continue := false
+    | `Line line ->
         (match handle_line conf metrics conn ~live (chomp_cr line) with
         | Continue -> ()
         | Shutdown_req -> continue := false
@@ -202,14 +268,6 @@ let serve_channels conf ic oc =
   !result
 
 (* ---- Unix-socket transport ---- *)
-
-(* The longest line a socket client may send, newline excluded.  A
-   connection whose pending bytes pass it gets an error frame and is
-   dropped, so a client that never sends a newline holds at most this
-   much plus one read ([read_chunk]) of the daemon's memory. *)
-let max_line_bytes = 1 lsl 20
-
-let read_chunk = 65536
 
 type sconn = {
   sc_fd : Unix.file_descr;
@@ -286,10 +344,7 @@ let serve_socket conf ~path ?ready () =
         end
       in
       let too_long sc =
-        ignore
-          (fatal metrics sc.sc_conn
-             (Printf.sprintf "line longer than %d bytes" max_line_bytes)
-            : outcome);
+        ignore (fatal metrics sc.sc_conn line_too_long : outcome);
         finish_conn sc ~report:false
       in
       (* Split off and handle the complete lines in [0, len), where only

@@ -29,10 +29,12 @@ val serve_channels : conf -> in_channel -> out_channel -> (unit, string) result
 (** Serve one connection reading frames from [ic], writing response
     frames to [oc].  Returns [Error msg] on malformed input (protocol
     or payload) — the CLI maps this to the data-error exit code —
-    after answering with an [error] frame. *)
+    after answering with an [error] frame.  A line longer than
+    {!max_line_bytes} is malformed input, refused as soon as that many
+    bytes have arrived without a newline. *)
 
 val max_line_bytes : int
-(** The longest line, newline excluded, that {!serve_socket} accepts
+(** The longest line, newline excluded, that either transport accepts
     from a client: 1 MiB. *)
 
 val serve_socket :

@@ -22,6 +22,19 @@ open Link
    monitors, thread start/join, wait/notify, print — go through a
    helper ([exec_rare]).
 
+   The fast arms make no out-of-line call: value construction and
+   decoding and heap lookup are [@inline] functions of this module;
+   every error path is an [@inline never] function; and a register
+   store that would write the identical value is skipped ([set]), and
+   with it the write barrier.  Dune's dev profile compiles each module
+   with [-opaque], so nothing is inlined across a module boundary: a
+   call into [Value] or [Heap] would be an indirect closure call, and
+   since OCaml has no callee-saved registers every call also spills the
+   loop's live locals.  What is left are [caml_modify] on a store that
+   changes a register, the trace ops' event hand-off ([Memloc]'s
+   encoding and the sink closure), and the helpers for calls, returns,
+   rare ops and the scheduler.
+
    Semantics are bit-identical to the frozen block interpreter
    ([Interp_ref]): the same schedule, the same RNG draws in the same
    order, the same [Sink] notifications, the same error strings.  The
@@ -193,12 +206,55 @@ let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 (* Unchecked indexing for the two arrays the linker has already
    validated ([Link.validate]: every register operand is inside its
    method's register file, every pc the interpreter can reach is inside
-   [m_code]), and for a call's argument list, read in a loop bounded by
-   its own length.  Heap-side arrays keep their bounds checks.  Declared
+   [m_code]), for a call's argument list, read in a loop bounded by
+   its own length, and for the reads [of_int] and [heap_get] guard with
+   their own range test.  Object fields and array elements keep their
+   bounds checks.  Declared
    as the primitives themselves, not as aliases of [Array.unsafe_get],
    so each use compiles to an inline load or store rather than a call. *)
 external ( .%() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .%()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* Every register store of the slice loop.  A store of the physically
+   identical value is skipped: it would change nothing, and skipping it
+   skips the write barrier ([caml_modify]).  Loop-invariant constants and
+   bounds rewrite their register with the same shared box on every
+   iteration, a third or more of all register stores.  The annotation
+   keeps the array kind known: a polymorphic [set] would test for a
+   float array on every store, even once inlined. *)
+let[@inline] set (regs : Value.t array) d v =
+  if regs.%(d) != v then regs.%(d) <- v
+
+(* Allocation-free value constructors.  Values are immutable and
+   compared structurally, so sharing the boxes is unobservable; computed
+   ints cluster near zero (loop counters, array indices, small costs),
+   so a small preallocated range absorbs almost every arithmetic
+   result. *)
+let vtrue = Value.Vbool true
+let vfalse = Value.Vbool false
+let[@inline] of_bool b = if b then vtrue else vfalse
+
+let small_min = -128
+let small_limit = 1024
+
+let small_ints =
+  Array.init (small_limit - small_min) (fun i -> Value.Vint (small_min + i))
+
+let[@inline] of_int n =
+  if n >= small_min && n < small_limit then small_ints.%(n - small_min)
+  else Value.Vint n
+
+(* [Value.to_int] and [Value.to_bool], inline; a value of the wrong
+   type raises the same [Invalid_argument] out of line. *)
+let[@inline never] type_error msg = invalid_arg msg
+
+let[@inline] to_int = function
+  | Value.Vint n -> n
+  | _ -> type_error "expected int"
+
+let[@inline] to_bool = function
+  | Value.Vbool b -> b
+  | _ -> type_error "expected boolean"
 
 (* Grow the heap-indexed side tables to cover heap id [id]. *)
 let ensure st id =
@@ -264,14 +320,39 @@ let class_obj st cid =
     id
   end
 
-let as_ref ~what = function
-  | Value.Vref o -> o
+(* The cold arms of the slice loop: every runtime error it raises, each
+   out of line so that the arm that raises it makes no call on its fast
+   path. *)
+let[@inline never] not_a_ref ~what v =
+  match v with
   | Value.Vnull -> error "NullPointerException (%s)" what
   | _ -> error "type confusion: expected reference (%s)" what
 
+let[@inline never] field_not_a_ref (fm : Ir.field_meta) access v =
+  not_a_ref ~what:(fm.Ir.fm_name ^ access) v
+
+let[@inline never] not_an_object o = error "type confusion: expected object #%d" o
+let[@inline never] not_an_array o = error "type confusion: expected array #%d" o
+let[@inline never] step_limit () = error "step limit exceeded"
+let[@inline never] trap msg (meth : lmethod) = error "%s in %s" msg meth.m_key
+
+let[@inline never] division_by_zero (meth : lmethod) pc =
+  error "division by zero at line %d" meth.m_lines.(pc)
+
+let[@inline never] null_pointer (meth : lmethod) pc =
+  error "NullPointerException at %s line %d" meth.m_key meth.m_lines.(pc)
+
+let[@inline never] out_of_bounds k n (meth : lmethod) pc =
+  error "ArrayIndexOutOfBoundsException: %d (length %d) at %s line %d" k n
+    meth.m_key meth.m_lines.(pc)
+
+let[@inline] as_ref ~what = function
+  | Value.Vref o -> o
+  | v -> not_a_ref ~what v
+
 (* Structural equality on values without the generic [caml_equal] call;
    agrees with polymorphic [=] on every [Value.t]. *)
-let value_eq a b =
+let[@inline] value_eq a b =
   a == b
   ||
   match (a, b) with
@@ -281,17 +362,27 @@ let value_eq a b =
   | Value.Vnull, Value.Vnull -> true
   | _ -> false
 
-let obj_fields st o =
-  match Heap.get st.heap o with
+(* [Heap.get] with its bounds check inline; an id outside the heap goes
+   to [Heap.get] itself, which raises its error.  That call sits in a
+   local [@inline never] function: a call into another module is an
+   indirect closure call under [-opaque]. *)
+let[@inline never] bad_heap_id st o = Heap.get st.heap o
+
+let[@inline] heap_get st o =
+  let h = st.heap in
+  if o >= 0 && o < h.Heap.n then h.Heap.data.%(o) else bad_heap_id st o
+
+let[@inline] obj_fields st o =
+  match heap_get st o with
   | Heap.Obj { fields; _ } -> fields
-  | _ -> error "type confusion: expected object #%d" o
+  | _ -> not_an_object o
 
-let arr_elems st o =
-  match Heap.get st.heap o with
+let[@inline] arr_elems st o =
+  match heap_get st o with
   | Heap.Arr { elems } -> elems
-  | _ -> error "type confusion: expected array #%d" o
+  | _ -> not_an_array o
 
-let emit_access st thr ~loc ~kind ~site =
+let[@inline] emit_access st thr ~loc ~kind ~site =
   st.sink.Sink.access ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
 
 (* The call hot path: reuse a returned frame of the exact register
@@ -335,7 +426,7 @@ let exec_rare st thr frame regs (op : lop) pc : bool =
       regs.%(d) <- Value.Vref id;
       true
   | Lnewarr (d, elem, dims) ->
-      let ds = List.map (fun r -> Value.to_int regs.%(r)) dims in
+      let ds = List.map (fun r -> to_int regs.%(r)) dims in
       List.iter
         (fun n -> if n < 0 then error "negative array size at line %d" frame.f_meth.m_lines.(pc))
         ds;
@@ -655,7 +746,7 @@ let push_call st thr regs dst target (args : Ir.reg array) site =
   done;
   thr.t_frames <- fr :: thr.t_frames
 
-let spec_access st thr ~cell ~loc ~kind ~site =
+let[@inline] spec_access st thr ~cell ~loc ~kind ~site =
   match st.spec with
   | Some f -> f ~cell ~tid:thr.t_id ~loc ~kind ~locks:thr.t_lockset ~site
   | None -> emit_access st thr ~loc ~kind ~site
@@ -723,7 +814,7 @@ let run_slice st t n =
           if !steps > max_steps then begin
             frame.f_pc <- !pc;
             st.steps <- !steps;
-            error "step limit exceeded"
+            step_limit ()
           end;
           let spent =
             match code.%(!pc) with
@@ -731,7 +822,7 @@ let run_slice st t n =
                 pc := l;
                 0
             | Lif (c, tl, fl) ->
-                pc := if Value.to_bool regs.%(c) then tl else fl;
+                pc := if to_bool regs.%(c) then tl else fl;
                 0
             | Lret v ->
                 inner := false;
@@ -742,98 +833,89 @@ let run_slice st t n =
             | Ltrap msg ->
                 frame.f_pc <- !pc;
                 st.steps <- !steps;
-                error "%s in %s" msg meth.m_key
+                trap msg meth
             | Lconst_int (d, k) ->
-                regs.%(d) <- Value.of_int k;
+                set regs d (of_int k);
                 incr pc;
                 1
             | Lconst_bool (d, b) ->
-                regs.%(d) <- Value.of_bool b;
+                set regs d (of_bool b);
                 incr pc;
                 1
             | Lconst_null d ->
-                regs.%(d) <- Value.Vnull;
+                set regs d Value.Vnull;
                 incr pc;
                 1
             | Lmove (d, s) ->
-                regs.%(d) <- regs.%(s);
+                set regs d regs.%(s);
                 incr pc;
                 1
             | Ladd (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_int (Value.to_int regs.%(l) + Value.to_int regs.%(r));
+                set regs d (of_int (to_int regs.%(l) + to_int regs.%(r)));
                 incr pc;
                 1
             | Lsub (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_int (Value.to_int regs.%(l) - Value.to_int regs.%(r));
+                set regs d (of_int (to_int regs.%(l) - to_int regs.%(r)));
                 incr pc;
                 1
             | Lmul (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_int (Value.to_int regs.%(l) * Value.to_int regs.%(r));
+                set regs d (of_int (to_int regs.%(l) * to_int regs.%(r)));
                 incr pc;
                 1
             | Ldiv (d, l, r) ->
-                let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
-                if b = 0 then
-                  error "division by zero at line %d" meth.m_lines.(!pc);
-                regs.%(d) <- Value.of_int (a / b);
+                let a = to_int regs.%(l) and b = to_int regs.%(r) in
+                if b = 0 then division_by_zero meth !pc;
+                set regs d (of_int (a / b));
                 incr pc;
                 1
             | Lmod (d, l, r) ->
-                let a = Value.to_int regs.%(l) and b = Value.to_int regs.%(r) in
-                if b = 0 then
-                  error "division by zero at line %d" meth.m_lines.(!pc);
-                regs.%(d) <- Value.of_int (a mod b);
+                let a = to_int regs.%(l) and b = to_int regs.%(r) in
+                if b = 0 then division_by_zero meth !pc;
+                set regs d (of_int (a mod b));
                 incr pc;
                 1
             | Llt (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_bool (Value.to_int regs.%(l) < Value.to_int regs.%(r));
+                set regs d (of_bool (to_int regs.%(l) < to_int regs.%(r)));
                 incr pc;
                 1
             | Lle (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_bool (Value.to_int regs.%(l) <= Value.to_int regs.%(r));
+                set regs d (of_bool (to_int regs.%(l) <= to_int regs.%(r)));
                 incr pc;
                 1
             | Lgt (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_bool (Value.to_int regs.%(l) > Value.to_int regs.%(r));
+                set regs d (of_bool (to_int regs.%(l) > to_int regs.%(r)));
                 incr pc;
                 1
             | Lge (d, l, r) ->
-                regs.%(d) <-
-                  Value.of_bool (Value.to_int regs.%(l) >= Value.to_int regs.%(r));
+                set regs d (of_bool (to_int regs.%(l) >= to_int regs.%(r)));
                 incr pc;
                 1
             | Leq (d, l, r) ->
-                regs.%(d) <- Value.of_bool (value_eq regs.%(l) regs.%(r));
+                set regs d (of_bool (value_eq regs.%(l) regs.%(r)));
                 incr pc;
                 1
             | Lne (d, l, r) ->
-                regs.%(d) <- Value.of_bool (not (value_eq regs.%(l) regs.%(r)));
+                set regs d (of_bool (not (value_eq regs.%(l) regs.%(r))));
                 incr pc;
                 1
             | Lneg (d, s) ->
-                regs.%(d) <- Value.of_int (-Value.to_int regs.%(s));
+                set regs d (of_int (-to_int regs.%(s)));
                 incr pc;
                 1
             | Lnot (d, s) ->
-                regs.%(d) <- Value.of_bool (not (Value.to_bool regs.%(s)));
+                set regs d (of_bool (not (to_bool regs.%(s))));
                 incr pc;
                 1
             | Lgetfield (d, o, fm) ->
-                (* The error label is built only on the failure path:
-                   [as_ref]'s [~what] argument would otherwise allocate a
-                   string per access. *)
+                (* The error label is built only on the failure path,
+                   inside [field_not_a_ref]: an [as_ref ~what] argument
+                   would allocate a string per access. *)
                 let obj =
                   match regs.%(o) with
                   | Value.Vref obj -> obj
-                  | v -> as_ref ~what:(fm.Ir.fm_name ^ " load") v
+                  | v -> field_not_a_ref fm " load" v
                 in
-                regs.%(d) <- (obj_fields st obj).(fm.Ir.fm_index);
+                set regs d ((obj_fields st obj).(fm.Ir.fm_index));
                 if all_accesses then
                   emit_access st t ~site:(-1)
                     ~loc:
@@ -846,7 +928,7 @@ let run_slice st t n =
                 let obj =
                   match regs.%(o) with
                   | Value.Vref obj -> obj
-                  | v -> as_ref ~what:(fm.Ir.fm_name ^ " store") v
+                  | v -> field_not_a_ref fm " store" v
                 in
                 (obj_fields st obj).(fm.Ir.fm_index) <- regs.%(s);
                 if all_accesses then
@@ -858,7 +940,7 @@ let run_slice st t n =
                 incr pc;
                 1
             | Lgetstatic (d, sm) ->
-                regs.%(d) <- st.globals.(sm.Ir.sm_slot);
+                set regs d st.globals.(sm.Ir.sm_slot);
                 if all_accesses then
                   emit_access st t ~site:(-1)
                     ~loc:
@@ -879,7 +961,7 @@ let run_slice st t n =
                 1
             | Laload (d, a, idx) ->
                 let arr = as_ref ~what:"array load" regs.%(a) in
-                regs.%(d) <- (arr_elems st arr).(Value.to_int regs.%(idx));
+                set regs d ((arr_elems st arr).(to_int regs.%(idx)));
                 if all_accesses then
                   emit_access st t ~site:(-1)
                     ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr)
@@ -888,7 +970,7 @@ let run_slice st t n =
                 1
             | Lastore (a, idx, s) ->
                 let arr = as_ref ~what:"array store" regs.%(a) in
-                (arr_elems st arr).(Value.to_int regs.%(idx)) <- regs.%(s);
+                (arr_elems st arr).(to_int regs.%(idx)) <- regs.%(s);
                 if all_accesses then
                   emit_access st t ~site:(-1)
                     ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj:arr)
@@ -897,26 +979,20 @@ let run_slice st t n =
                 1
             | Larrlen (d, a) ->
                 let arr = as_ref ~what:"length" regs.%(a) in
-                regs.%(d) <- Value.of_int (Array.length (arr_elems st arr));
+                set regs d (of_int (Array.length (arr_elems st arr)));
                 incr pc;
                 1
             | Lnullcheck r ->
                 (match regs.%(r) with
-                | Value.Vnull ->
-                    error "NullPointerException at %s line %d" meth.m_key
-                      meth.m_lines.(!pc)
+                | Value.Vnull -> null_pointer meth !pc
                 | _ -> ());
                 incr pc;
                 1
             | Lboundscheck (a, idx) ->
                 let arr = as_ref ~what:"array access" regs.%(a) in
                 let n = Array.length (arr_elems st arr) in
-                let k = Value.to_int regs.%(idx) in
-                if k < 0 || k >= n then
-                  error
-                    "ArrayIndexOutOfBoundsException: %d (length %d) at %s line \
-                     %d"
-                    k n meth.m_key meth.m_lines.(!pc);
+                let k = to_int regs.%(idx) in
+                if k < 0 || k >= n then out_of_bounds k n meth !pc;
                 incr pc;
                 1
             | Lcall (dst, target, args, site) ->
@@ -976,15 +1052,13 @@ let run_slice st t n =
                 1
             | Laload_checked (d, a, idx) -> (
                 match regs.%(a) with
-                | Value.Vnull ->
-                    error "NullPointerException at %s line %d" meth.m_key
-                      meth.m_lines.(!pc)
+                | Value.Vnull -> null_pointer meth !pc
                 | Value.Vref obj when !budget >= 3 && !steps + 2 <= max_steps
                   -> (
-                    match (Heap.get st.heap obj, regs.%(idx)) with
+                    match (heap_get st obj, regs.%(idx)) with
                     | Heap.Arr { elems }, Value.Vint k
                       when k >= 0 && k < Array.length elems ->
-                        regs.%(d) <- Array.unsafe_get elems k;
+                        set regs d (Array.unsafe_get elems k);
                         if all_accesses then
                           emit_access st t ~site:(-1)
                             ~loc:(Memloc.array ~gran:st.cfg.granularity ~obj)
@@ -1000,12 +1074,10 @@ let run_slice st t n =
                     1)
             | Lastore_checked (a, idx, s) -> (
                 match regs.%(a) with
-                | Value.Vnull ->
-                    error "NullPointerException at %s line %d" meth.m_key
-                      meth.m_lines.(!pc)
+                | Value.Vnull -> null_pointer meth !pc
                 | Value.Vref obj when !budget >= 3 && !steps + 2 <= max_steps
                   -> (
-                    match (Heap.get st.heap obj, regs.%(idx)) with
+                    match (heap_get st obj, regs.%(idx)) with
                     | Heap.Arr { elems }, Value.Vint k
                       when k >= 0 && k < Array.length elems ->
                         Array.unsafe_set elems k regs.%(s);
@@ -1023,10 +1095,10 @@ let run_slice st t n =
                     incr pc;
                     1)
             | Lconst_add (kr, k, d, x) -> (
-                regs.%(kr) <- Value.of_int k;
+                set regs kr (of_int k);
                 match regs.%(x) with
                 | Value.Vint v when !budget >= 2 && !steps < max_steps ->
-                    regs.%(d) <- Value.of_int (v + k);
+                    set regs d (of_int (v + k));
                     pc := !pc + 2;
                     incr steps;
                     2
@@ -1034,10 +1106,10 @@ let run_slice st t n =
                     incr pc;
                     1)
             | Lconst_sub (kr, k, d, x) -> (
-                regs.%(kr) <- Value.of_int k;
+                set regs kr (of_int k);
                 match regs.%(x) with
                 | Value.Vint v when !budget >= 2 && !steps < max_steps ->
-                    regs.%(d) <- Value.of_int (v - k);
+                    set regs d (of_int (v - k));
                     pc := !pc + 2;
                     incr steps;
                     2
@@ -1045,8 +1117,8 @@ let run_slice st t n =
                     incr pc;
                     1)
             | Llt_if (d, l, r, tl, fl) ->
-                let c = Value.to_int regs.%(l) < Value.to_int regs.%(r) in
-                regs.%(d) <- Value.of_bool c;
+                let c = to_int regs.%(l) < to_int regs.%(r) in
+                set regs d (of_bool c);
                 (* The [if] spends no budget, but the slice must not end
                    at the [lt] before it. *)
                 if !budget >= 2 && !steps < max_steps then begin

@@ -19,23 +19,7 @@ let pp ppf = function
 let to_int = function Vint n -> n | _ -> invalid_arg "expected int"
 let to_bool = function Vbool b -> b | _ -> invalid_arg "expected boolean"
 
-(* Allocation-free constructors for the interpreter hot path.  Values
-   are immutable and compared structurally, so sharing the boxes is
-   unobservable; computed ints cluster near zero (loop counters, array
-   indices, small costs), so a small preallocated range absorbs almost
-   every arithmetic result. *)
-
-let vtrue = Vbool true
-let vfalse = Vbool false
-let of_bool b = if b then vtrue else vfalse
-
-let small_min = -128
-let small_limit = 1024
-
-let small_ints =
-  Array.init (small_limit - small_min) (fun i -> Vint (small_min + i))
-
-let of_int n =
-  if n >= small_min && n < small_limit then
-    Array.unsafe_get small_ints (n - small_min)
-  else Vint n
+(* The allocation-free constructors and the inline decoders the
+   interpreter's hot path uses live in [Interp], their one user, where
+   they inline into the slice loop (see its header).  [to_int] and
+   [to_bool] above serve the reference interpreter. *)

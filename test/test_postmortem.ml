@@ -158,6 +158,34 @@ let test_malformed_input () =
   | Ok log -> Alcotest.(check int) "blank lines skipped" 2 (Event_log.length log)
   | Error msg -> Alcotest.failf "valid log rejected: %s" msg
 
+(* The daemon answers a malformed line with the error message as a
+   frame, so the message must stay short however long the line is; a
+   short line is still quoted whole. *)
+let test_error_text_bounded () =
+  Alcotest.(check (result (option reject) string))
+    "short line quoted whole"
+    (Error
+       "unknown entry tag \"Q\" (expected A, L, U, S, J or X) or wrong field \
+        count in \"Q 1 2\"")
+    (Event_log.entry_of_line "Q 1 2");
+  let junk = String.make (2 * 1024 * 1024) 'q' in
+  List.iter
+    (fun (name, line) ->
+      match Event_log.entry_of_line line with
+      | Ok _ -> Alcotest.failf "%s: junk line parsed" name
+      | Error msg ->
+          if String.length msg >= 1024 then
+            Alcotest.failf "%s: %d-byte error message" name (String.length msg);
+          Alcotest.(check bool)
+            (name ^ ": names the length") true
+            (Astring_contains.contains msg
+               (Printf.sprintf "(%d bytes)" (String.length line))))
+    [
+      ("2 MiB tag", junk);
+      ("2 MiB field", "L " ^ junk ^ " 5");
+      ("2 MiB kind", "A 1 2 " ^ junk ^ " 0");
+    ]
+
 let test_unheld_release_replays () =
   (* A log releasing a lock that was never acquired is malformed but
      must replay without an exception: the cache warns once and clears
@@ -241,4 +269,6 @@ let suite =
     Alcotest.test_case "FullRace = oracle" `Quick test_full_race_counts_match_oracle;
     Alcotest.test_case "FullRace on figure 2" `Quick test_full_race_figure2;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    Alcotest.test_case "malformed-line errors are bounded" `Quick
+      test_error_text_bounded;
   ]

@@ -297,6 +297,62 @@ let test_serve_channels_errors () =
   | Error m -> Alcotest.(check bool) "double hello refused" true (contains m "already open")
   | Ok () -> Alcotest.fail "double hello accepted"
 
+(* A newline-free line past the cap, piped in: one short error frame,
+   an [Error] result, and the transport stops reading at the cap instead
+   of buffering the line whole.  A line of exactly the cap is not too
+   long; it is refused as a malformed payload, with a short message. *)
+let test_serve_channels_line_cap () =
+  let cap = S.Server.max_line_bytes in
+  let serve_piped input =
+    let r_fd, w_fd = Unix.pipe ~cloexec:true () in
+    let writer =
+      Domain.spawn (fun () ->
+          let oc = Unix.out_channel_of_descr w_fd in
+          output_string oc input;
+          close_out oc)
+    in
+    let ic = Unix.in_channel_of_descr r_fd in
+    let out_path = Filename.temp_file "drd_serve_out" ".txt" in
+    let oc = open_out out_path in
+    let r = S.Server.serve_channels default_conf ic oc in
+    close_out oc;
+    (* Drain what the daemon left unread so the writer can finish. *)
+    let unread = ref 0 in
+    (try
+       while true do
+         ignore (input_char ic);
+         incr unread
+       done
+     with End_of_file -> ());
+    Domain.join writer;
+    close_in ic;
+    let frames = In_channel.with_open_bin out_path In_channel.input_all in
+    Sys.remove out_path;
+    (r, String.split_on_char '\n' frames |> List.filter (( <> ) ""), !unread)
+  in
+  let junk = String.make (4 * cap) 'A' in
+  let r, frames, unread = serve_piped ("A 1 1 W 0\n" ^ junk) in
+  let msg = Printf.sprintf "line longer than %d bytes" cap in
+  Alcotest.(check bool) "error result" true (r = Error msg);
+  (match frames with
+  | [ f ] ->
+      Alcotest.(check bool) "the error frame names the cap" true (contains f msg);
+      Alcotest.(check bool) "the error frame is short" true (String.length f < 1024)
+  | _ -> Alcotest.failf "%d frames, expected one error frame" (List.length frames));
+  Alcotest.(check bool)
+    (Printf.sprintf "reading stopped near the cap (%d of %d bytes unread)"
+       unread (String.length junk))
+    true
+    (unread >= String.length junk - cap - 2 * 65536);
+  let r, frames, _ = serve_piped (String.make cap 'A' ^ "\n") in
+  (match r with
+  | Error m ->
+      Alcotest.(check bool) "a line of exactly the cap is read" false (m = msg);
+      Alcotest.(check bool) "its error is short" true (String.length m < 1024)
+  | Ok () -> Alcotest.fail "junk line accepted");
+  Alcotest.(check bool) "one short error frame" true
+    (match frames with [ f ] -> String.length f < 1024 | _ -> false)
+
 (* ---- the Unix-socket transport ---- *)
 
 let send oc lines =
@@ -557,4 +613,6 @@ let suite =
         test_socket_giant_line ());
     Alcotest.test_case "unix socket soak: bounded and byte-identical" `Quick
       (fun () -> test_socket_soak ());
+    Alcotest.test_case "stdin transport: line cap" `Quick (fun () ->
+        test_serve_channels_line_cap ());
   ]

@@ -379,6 +379,154 @@ let test_fused_array_errors () =
         "ArrayIndexOutOfBoundsException: 3 (length 3) at Main.main line 4" );
     ]
 
+(* Every runtime error the linked interpreter raises from a cold,
+   out-of-line path must read exactly as the reference interpreter's, on
+   every engine, whichever slot of a superinstruction it lands on:
+   quanta 1 and 2 end slices inside the fused ops, so their single-slot
+   fallbacks raise too.  The step-limit row sweeps the limit across a
+   whole iteration of a loop whose body is fused array accesses. *)
+let test_cold_path_parity () =
+  let module Pipeline = Drd_harness.Pipeline in
+  let module Config = Drd_harness.Config in
+  let module Link = Drd_ir.Link in
+  let main body =
+    Printf.sprintf "class Main {\n  static void main() {\n%s\n  }\n}" body
+  in
+  let with_a body = "class A { int f; int g() { return f; } }\n" ^ main body in
+  let loop =
+    main
+      {|    int[] a = new int[4];
+    int s = 0;
+    for (int i = 0; i < a.length; i = i + 1) { a[i] = a[i] + i; s = s + a[i]; }
+    print("s", s);|}
+  in
+  let traced =
+    {|class A { int f; }
+class W extends Thread { A a; void run() { a.f = 1; } }
+class Main {
+  static void main() {
+    A a = new A();
+    W w = new W(); w.a = a; w.start();
+    a.f = 2;
+    w.join();
+    a = null;
+    a.f = 3;
+  }
+}|}
+  in
+  let require what is source =
+    let c = Pipeline.compile Config.full ~source in
+    if
+      not
+        (Array.exists
+           (fun (m : Link.lmethod) -> Array.exists is m.Link.m_code)
+           c.Pipeline.image.Link.i_methods)
+    then Alcotest.failf "no %s is linked" what
+  in
+  require "specialized field trace"
+    (function Link.Ltrace_field_spec _ -> true | _ -> false)
+    traced;
+  require "checked array load"
+    (function Link.Laload_checked _ -> true | _ -> false)
+    loop;
+  let rows =
+    [
+      ( "getfield on null",
+        with_a "    A a = null;\n    print(\"x\", a.f);",
+        None,
+        "NullPointerException at Main.main line 5" );
+      ( "putfield on null",
+        with_a "    A a = null;\n    a.f = 1;",
+        None,
+        "NullPointerException at Main.main line 5" );
+      ( "array load on null",
+        main "    int[] a = null;\n    print(\"x\", a[0]);",
+        None,
+        "NullPointerException at Main.main line 4" );
+      ( "array store on null",
+        main "    int[] a = null;\n    a[0] = 1;",
+        None,
+        "NullPointerException at Main.main line 4" );
+      ( "length on null",
+        main "    int[] a = null;\n    print(\"x\", a.length);",
+        None,
+        "NullPointerException at Main.main line 4" );
+      ( "virtual call on null",
+        with_a "    A a = null;\n    print(\"x\", a.g());",
+        None,
+        "NullPointerException at Main.main line 5" );
+      ( "traced store on null", traced, None,
+        "NullPointerException at Main.main line 10" );
+      ( "synchronized on null",
+        with_a "    A a = null;\n    synchronized (a) { print(\"x\", 1); }",
+        None,
+        "NullPointerException at Main.main line 5" );
+      ( "load at -1",
+        main "    int[] a = new int[3];\n    print(\"x\", a[0 - 1]);",
+        None,
+        "ArrayIndexOutOfBoundsException: -1 (length 3) at Main.main line 4" );
+      ( "store at -1",
+        main "    int[] a = new int[3];\n    a[0 - 1] = 1;",
+        None,
+        "ArrayIndexOutOfBoundsException: -1 (length 3) at Main.main line 4" );
+      ( "load at length",
+        main "    int[] a = new int[3];\n    print(\"x\", a[3]);",
+        None,
+        "ArrayIndexOutOfBoundsException: 3 (length 3) at Main.main line 4" );
+      ( "store at length",
+        main "    int[] a = new int[3];\n    a[3] = 1;",
+        None,
+        "ArrayIndexOutOfBoundsException: 3 (length 3) at Main.main line 4" );
+      ( "division by zero",
+        main "    int z = 0;\n    print(\"x\", 1 / z);",
+        None,
+        "division by zero at line 4" );
+      ( "modulo by zero",
+        main "    int z = 0;\n    print(\"x\", 1 % z);",
+        None,
+        "division by zero at line 4" );
+      ( "missing return",
+        {|class Main {
+  static int f(boolean b) { if (b) { return 1; } }
+  static void main() { print("x", f(false)); }
+}|},
+        None,
+        "missing return in Main.f" );
+    ]
+    @ List.init 24 (fun k ->
+          ( Printf.sprintf "step limit %d" (20 + k),
+            loop,
+            Some (20 + k),
+            "step limit exceeded" ))
+  in
+  let message engine compiled vm =
+    match Pipeline.run ~engine ~vm compiled with
+    | _ -> None
+    | exception Interp.Runtime_error m -> Some m
+  in
+  List.iter
+    (fun (label, source, max_steps, expected) ->
+      let compiled = Pipeline.compile Config.full ~source in
+      let base = Pipeline.vm_config_of compiled.Pipeline.config in
+      let base =
+        match max_steps with
+        | Some max_steps -> { base with Interp.max_steps }
+        | None -> base
+      in
+      List.iter
+        (fun quantum ->
+          let vm = { base with Interp.quantum } in
+          let label = Printf.sprintf "%s, quantum %d" label quantum in
+          let ref_msg = message `Ref compiled vm in
+          Alcotest.(check (option string))
+            (label ^ ": ref") (Some expected) ref_msg;
+          Alcotest.(check (option string))
+            (label ^ ": linked") ref_msg (message `Linked compiled vm);
+          Alcotest.(check (option string))
+            (label ^ ": specialized") ref_msg (message `Spec compiled vm))
+        [ 1; 2; base.Interp.quantum ])
+    rows
+
 let test_deadlock_detected () =
   expect_error "deadlock" "deadlock" (fun () ->
       Pipe.run
@@ -448,4 +596,6 @@ let suite =
     Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "bare Thread" `Quick test_thread_default_run;
+    Alcotest.test_case "cold-path errors identical on every engine" `Quick
+      test_cold_path_parity;
   ]

@@ -427,6 +427,28 @@ let test_slice_boundaries ~pct quantum () =
       (a.o_prints = [ ("sum", Some (Value.Vint 12)) ])
   done
 
+(* The slice loop skips the write barrier on a register store that
+   would write the identical value.  Under a 4k-word minor heap and
+   [space_overhead] 20 minor collections are constant and a major cycle
+   is almost always marking while registers are rewritten, so a skipped
+   barrier that mattered would lose a live value or keep a stale one and
+   show as a diverging report, step count or fingerprint. *)
+let test_gc_stress () =
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = 4096; space_overhead = 20 };
+      List.iter
+        (fun name ->
+          let source = List.assoc name sources in
+          let compiled = compiled_of name source in
+          let vm = Pipeline.vm_config_of compiled.Pipeline.config in
+          let o = same_three_ways (name ^ " under GC stress") compiled vm in
+          if o.o_error <> None || o.o_steps = 0 then
+            Alcotest.failf "%s did not run to completion" name)
+        [ "sor2"; "mtrt"; "tsp" ])
+
 let test_record_log name source () =
   (* The post-mortem recording path proper (not just its sink as a tap)
      must also be engine-independent. *)
@@ -480,3 +502,7 @@ let suite =
               (test_slice_boundaries ~pct quantum))
           [ 1; 2; 3; 4 ])
       [ false; true ]
+  @ [
+      Alcotest.test_case "sor2, mtrt, tsp under GC stress byte-identical"
+        `Quick test_gc_stress;
+    ]
